@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Local mirror of .github/workflows/ci.yml: lint, tier-1 tests, perf smoke,
-# serving smoke, bench-history regression check, telemetry sample run.
+# Local mirror of .github/workflows/ci.yml: lint, tier-1 tests, benchmark
+# self-test, perf smoke, serving smoke, bench-history regression check,
+# telemetry sample run.
 #
 # Usage: scripts/ci.sh [--report-only]
 #   --report-only   run the perf benchmark without enforcing min_speedup
@@ -28,6 +29,11 @@ fi
 
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q
+
+echo "== benchmark self-test (perfbench: every workload at its smallest size) =="
+# Tier-1 collects only tests/; this stage fails a change that renames or
+# moves a callable the benchmark wraps (the layer map in perfbench/tracing.py).
+python3 -m pytest perfbench -q
 
 echo "== perf smoke (node sparse path + graph-classification batching) =="
 # Covers both committed gates: the CSR-cached node path and the

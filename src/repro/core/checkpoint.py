@@ -9,7 +9,6 @@ the JSON-encoded config, so a checkpoint is self-describing::
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 from typing import Union
@@ -17,6 +16,7 @@ from typing import Union
 import numpy as np
 
 from ..engine.checkpoint import atomic_savez
+from ..registry import config_dict, config_from_dict
 from .config import GCMAEConfig
 from .gcmae import GCMAE
 
@@ -29,12 +29,9 @@ def save_gcmae(model: GCMAE, path: Union[str, Path]) -> Path:
     path = Path(path)
     if path.suffix != ".npz":  # match np.savez's bare-path behaviour
         path = path.with_name(path.name + ".npz")
-    state = model.state_dict()
-    config_dict = dataclasses.asdict(model.config)
-    # Tuples are not JSON-roundtrippable as tuples; normalise to lists.
-    payload = {name: array for name, array in state.items()}
+    payload = dict(model.state_dict())
     payload[_CONFIG_KEY] = np.frombuffer(
-        json.dumps(config_dict).encode("utf-8"), dtype=np.uint8
+        json.dumps(config_dict(model.config)).encode("utf-8"), dtype=np.uint8
     )
     payload[_FEATURES_KEY] = np.array([model.num_features], dtype=np.int64)
     return atomic_savez(path, **payload)
@@ -44,17 +41,16 @@ def load_gcmae(path: Union[str, Path]) -> GCMAE:
     """Restore a GCMAE model saved by :func:`save_gcmae`."""
     path = Path(path)
     with np.load(path) as payload:
-        config_json = bytes(payload[_CONFIG_KEY]).decode("utf-8")
-        config_dict = json.loads(config_json)
+        saved_config = json.loads(bytes(payload[_CONFIG_KEY]).decode("utf-8"))
         num_features = int(payload[_FEATURES_KEY][0])
         state = {
             name: payload[name]
             for name in payload.files
             if name not in (_CONFIG_KEY, _FEATURES_KEY)
         }
-    if "structure_terms" in config_dict:
-        config_dict["structure_terms"] = tuple(config_dict["structure_terms"])
-    config = GCMAEConfig(**config_dict)
+    # JSON stores tuple fields as lists; the config schema finds every one
+    # and turns it back into a tuple, so the config stays equal and hashable.
+    config = config_from_dict(GCMAEConfig, saved_config)
     model = GCMAE(num_features, config, rng=np.random.default_rng(0))
     model.load_state_dict(state)
     model.eval()

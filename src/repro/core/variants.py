@@ -18,11 +18,12 @@ from typing import Optional
 
 import numpy as np
 
+from ..engine import Method, TrainLoop, TrainState
 from ..graph.augment import drop_nodes, mask_node_features
 from ..graph.data import Graph
 from ..gnn.encoder import GNNEncoder
 from ..nn import Adam, MLP, Tensor, no_grad
-from .base import EmbeddingResult, Stopwatch
+from .base import EmbeddingResult
 from .config import GCMAEConfig
 from .losses import info_nce
 from .trainer import GCMAEMethod
@@ -30,61 +31,64 @@ from .trainer import GCMAEMethod
 ENCODER_VARIANTS = ("mae", "contrastive", "fusion", "shared")
 
 
-def _train_contrastive_only(
-    graph: Graph, config: GCMAEConfig, seed: int
-) -> EmbeddingResult:
+class _ContrastiveOnlyMethod(Method):
     """The "Con. Encoder" variant: InfoNCE between the masked view and the
     node-dropped view, through a fresh encoder (no reconstruction losses)."""
-    rng = np.random.default_rng(seed)
-    encoder = GNNEncoder(
-        graph.num_features,
-        config.hidden_dim,
-        config.embed_dim,
-        num_layers=config.num_layers,
-        conv_type=config.conv_type,
-        activation=config.activation,
-        dropout=config.dropout,
-        heads=config.heads if config.conv_type == "gat" else 1,
-        rng=rng,
-    )
-    projector_u = MLP(
-        config.embed_dim,
-        [config.projector_hidden],
-        config.projector_hidden,
-        activation="elu",
-        rng=rng,
-    )
-    projector_v = MLP(
-        config.embed_dim,
-        [config.projector_hidden],
-        config.projector_hidden,
-        activation="elu",
-        rng=rng,
-    )
-    optimizer = Adam(
-        encoder.parameters() + projector_u.parameters() + projector_v.parameters(),
-        lr=config.learning_rate,
-        weight_decay=config.weight_decay,
-    )
-    losses = []
-    with Stopwatch() as timer:
-        for _ in range(config.epochs):
-            encoder.train()
-            optimizer.zero_grad()
-            masked = mask_node_features(graph.features, config.mask_rate, rng)
-            corrupted_adjacency, _ = drop_nodes(graph.adjacency, config.drop_rate, rng)
-            h1 = encoder(graph.adjacency, Tensor(masked.features))
-            h2 = encoder(corrupted_adjacency, Tensor(graph.features))
-            loss = info_nce(
-                projector_u(h1), projector_v(h2), temperature=config.temperature
+
+    name = "Con. Encoder"
+
+    def __init__(self, config: GCMAEConfig) -> None:
+        self.config = config
+
+    def build(self, graph: Graph, rng: np.random.Generator) -> TrainState:
+        config = self.config
+        modules = {
+            "encoder": GNNEncoder(
+                graph.num_features,
+                config.hidden_dim,
+                config.embed_dim,
+                num_layers=config.num_layers,
+                conv_type=config.conv_type,
+                activation=config.activation,
+                dropout=config.dropout,
+                heads=config.heads if config.conv_type == "gat" else 1,
+                rng=rng,
             )
-            loss.backward()
-            optimizer.step()
-            losses.append(loss.item())
-    encoder.eval()
-    with no_grad():
-        embeddings = encoder(graph.adjacency, Tensor(graph.features)).data.copy()
-    return EmbeddingResult(embeddings, timer.seconds, losses)
+        }
+        for name in ("projector_u", "projector_v"):
+            modules[name] = MLP(
+                config.embed_dim,
+                [config.projector_hidden],
+                config.projector_hidden,
+                activation="elu",
+                rng=rng,
+            )
+        optimizer = Adam(
+            [param for module in modules.values() for param in module.parameters()],
+            lr=config.learning_rate,
+            weight_decay=config.weight_decay,
+        )
+        return TrainState(modules=modules, optimizer=optimizer, rng=rng)
+
+    def loss_step(self, state: TrainState, graph: Graph, epoch: int, payload):
+        config = self.config
+        encoder = state.modules["encoder"]
+        masked = mask_node_features(graph.features, config.mask_rate, state.rng)
+        corrupted_adjacency, _ = drop_nodes(graph.adjacency, config.drop_rate, state.rng)
+        h1 = encoder(graph.adjacency, Tensor(masked.features))
+        h2 = encoder(corrupted_adjacency, Tensor(graph.features))
+        loss = info_nce(
+            state.modules["projector_u"](h1),
+            state.modules["projector_v"](h2),
+            temperature=config.temperature,
+        )
+        return loss, {}
+
+    def embed(self, state: TrainState, graph: Graph) -> np.ndarray:
+        encoder = state.modules["encoder"]
+        encoder.eval()
+        with no_grad():
+            return encoder(graph.adjacency, Tensor(graph.features)).data.copy()
 
 
 def fit_encoder_variant(
@@ -103,7 +107,10 @@ def fit_encoder_variant(
         )
         return GCMAEMethod(mae_config, name="MAE Encoder").fit(graph, seed=seed)
     if variant == "contrastive":
-        return _train_contrastive_only(graph, config, seed)
+        method = _ContrastiveOnlyMethod(config)
+        outcome = TrainLoop(config.epochs).run(method, graph, seed=seed)
+        embeddings = method.embed(outcome.state, graph)
+        return EmbeddingResult(embeddings, outcome.train_seconds, outcome.loss_history)
     if variant == "fusion":
         mae_result = fit_encoder_variant(graph, "mae", config, seed)
         con_result = fit_encoder_variant(graph, "contrastive", config, seed)

@@ -10,7 +10,7 @@ from ..graph.datasets import load_node_dataset
 from ..parallel import run_cells
 from .cache import cached_fit
 from .profiles import Profile, current_profile
-from .registry import gcmae_config
+from .registry import citation_datasets, gcmae_config
 from .results import ExperimentTable
 
 VARIANT_ROWS = {
@@ -28,10 +28,7 @@ def run_table8(
 ) -> ExperimentTable:
     """Reproduce Table 8 on the three citation datasets."""
     profile = profile if profile is not None else current_profile()
-    if datasets is None:
-        datasets = ["cora-like", "citeseer-like", "pubmed-like"]
-        if profile.name == "fast":
-            datasets = datasets[:2]
+    datasets = datasets if datasets is not None else citation_datasets(profile)
     table = ExperimentTable(
         name="Table 8 — encoder designs, node classification accuracy (%)",
         rows=list(VARIANT_ROWS),

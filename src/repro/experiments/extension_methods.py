@@ -8,28 +8,30 @@ This runner slots them into the Table 4 protocol next to GCMAE, answering
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from ..eval.classification import evaluate_probe
-from ..graph.datasets import load_node_dataset
-from ..parallel import run_cells
 from ..registry import METHODS
-from .cache import cached_fit
 from .profiles import Profile, current_profile
-from .registry import node_ssl_methods  # noqa: F401  (imports register methods)
 from .results import ExperimentTable
 
 
-def extension_methods(profile: Profile) -> Dict[str, Callable[[], object]]:
-    """Factories for the related-work extension methods plus GCMAE.
+def extension_comparison_spec(datasets: Optional[List[str]] = None):
+    """The extension run spec: the registry's ``extension`` methods, then GCMAE.
 
-    Derived from the registry's ``extension`` tag (BGRL, GCA, GraphMAE2),
-    with GCMAE appended as the anchor the extensions are compared against.
+    The rows are the node methods tagged ``extension`` (BGRL, GCA,
+    GraphMAE2), with GCMAE appended as the anchor they are compared against.
     """
-    entries = METHODS.entries("node", tags=("extension",))
-    factories = {e.name: e.factory(profile) for e in entries}
-    factories["GCMAE"] = METHODS.get("GCMAE", "node").factory(profile)
-    return factories
+    from ..spec import parse_spec
+
+    return parse_spec(
+        {
+            "name": "extension_comparison",
+            "title": "Extension — related-work methods vs GCMAE (accuracy, %)",
+            "protocol": "classification",
+            "datasets": list(datasets) if datasets is not None else ["cora-like"],
+            "methods": [*METHODS.names("node", tags=("extension",)), "GCMAE"],
+        }
+    )
 
 
 def run_extension_comparison(
@@ -38,42 +40,10 @@ def run_extension_comparison(
     jobs: Optional[int] = None,
 ) -> ExperimentTable:
     """Node classification accuracy of the extension methods vs GCMAE."""
+    from ..spec import run_spec
+
     profile = profile if profile is not None else current_profile()
-    datasets = datasets if datasets is not None else ["cora-like"]
-    factories = extension_methods(profile)
-
-    table = ExperimentTable(
-        name="Extension — related-work methods vs GCMAE (accuracy, %)",
-        rows=list(factories),
-        columns=list(datasets),
-    )
-    cells: List[Tuple[str, str, int]] = [
-        (method_name, dataset_name, seed)
-        for method_name in factories
-        for dataset_name in datasets
-        for seed in profile.seeds
-    ]
-
-    def run_cell(cell: Tuple[str, str, int]) -> float:
-        method_name, dataset_name, seed = cell
-        factory = extension_methods(profile)[method_name]
-        graph = load_node_dataset(dataset_name, seed=seed)
-        key = f"ext-{method_name}-{dataset_name}-{seed}-{profile.name}"
-        result = cached_fit(key, lambda: factory().fit(graph, seed=seed))
-        probe = evaluate_probe(
-            result.embeddings, graph.labels, graph.train_mask, graph.test_mask
-        )
-        return probe.accuracy * 100.0
-
-    scores = run_cells(cells, run_cell, jobs=jobs, label="extension_comparison")
-    grouped: dict = {}
-    for (method_name, dataset_name, _seed), score in zip(cells, scores):
-        grouped.setdefault((method_name, dataset_name), []).append(score)
-    for (method_name, dataset_name), values in grouped.items():
-        table.set(method_name, dataset_name, values)
-
-    for dataset_name in datasets:
-        best = table.best_row(dataset_name)
-        if best is not None:
-            table.notes.append(f"best on {dataset_name}: {best}")
+    spec = extension_comparison_spec(datasets=datasets)
+    table = run_spec(spec, profile=profile, jobs=jobs)
+    table.note_best()
     return table

@@ -12,15 +12,9 @@ each on node classification:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..core import GCMAEMethod
-from ..eval.classification import evaluate_probe
-from ..graph.datasets import load_node_dataset
-from ..parallel import run_cells
-from .cache import cached_fit
 from .profiles import Profile, current_profile
-from .registry import gcmae_config
 from .results import ExperimentTable
 
 DESIGN_VARIANTS = {
@@ -80,62 +74,14 @@ def run_design_ablation(
 ) -> ExperimentTable:
     """Accuracy of each design variant on node classification.
 
-    A thin wrapper since PR 9: emits :func:`design_ablation_spec` and
-    executes it through :func:`repro.spec.run_spec`.  Variant rows whose
-    config differs from the profile default cache under config-digest keys
-    (the legacy runner used ``design-<row>-...`` keys).
+    Emits :func:`design_ablation_spec` and executes it through
+    :func:`repro.spec.run_spec`.  Variant rows whose config differs from
+    the profile default cache under config-digest keys.
     """
     from ..spec import run_spec
 
     profile = profile if profile is not None else current_profile()
     spec = design_ablation_spec(datasets=datasets, variants=variants)
     table = run_spec(spec, profile=profile, jobs=jobs)
-    table.notes.append(_DESIGN_NOTE)
-    return table
-
-
-def _run_design_ablation_legacy(
-    profile: Optional[Profile] = None,
-    datasets: Optional[List[str]] = None,
-    variants: Optional[Dict[str, dict]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentTable:
-    """The pre-spec in-line implementation, kept as the equivalence oracle."""
-    profile = profile if profile is not None else current_profile()
-    datasets = datasets if datasets is not None else ["cora-like"]
-    variants = variants if variants is not None else DESIGN_VARIANTS
-
-    table = ExperimentTable(
-        name="Design ablation (extension) — node classification accuracy (%)",
-        rows=list(variants),
-        columns=list(datasets),
-    )
-    cells: List[Tuple[str, str, int]] = [
-        (row, dataset_name, seed)
-        for row in variants
-        for dataset_name in datasets
-        for seed in profile.seeds
-    ]
-
-    def run_cell(cell: Tuple[str, str, int]) -> float:
-        row, dataset_name, seed = cell
-        config = gcmae_config(profile, **variants[row])
-        graph = load_node_dataset(dataset_name, seed=seed)
-        key = f"design-{row}-{dataset_name}-{seed}-{profile.name}"
-        result = cached_fit(
-            key, lambda: GCMAEMethod(config).fit(graph, seed=seed)
-        )
-        probe = evaluate_probe(
-            result.embeddings, graph.labels, graph.train_mask, graph.test_mask
-        )
-        return probe.accuracy * 100.0
-
-    scores = run_cells(cells, run_cell, jobs=jobs, label="design_ablation")
-    grouped: dict = {}
-    for (row, dataset_name, _seed), score in zip(cells, scores):
-        grouped.setdefault((row, dataset_name), []).append(score)
-    for (row, dataset_name), values in grouped.items():
-        table.set(row, dataset_name, values)
-
     table.notes.append(_DESIGN_NOTE)
     return table

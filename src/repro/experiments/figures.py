@@ -230,6 +230,35 @@ def run_figure5(
 # ---------------------------------------------------------------------------
 # Figure 6 — width and depth sweeps
 # ---------------------------------------------------------------------------
+def figure6_spec(
+    dataset: str = "cora-like",
+    widths: Sequence[int] = (32, 64, 128, 256),
+    depths: Sequence[int] = (1, 2, 4, 8),
+    seed: int = 0,
+):
+    """The Figure 6 run spec: one labelled GCMAE line per width, then per depth."""
+    from ..spec import parse_spec
+
+    methods = [
+        {"name": "GCMAE", "label": f"width={w}", "overrides": {"hidden_dim": w, "embed_dim": w}}
+        for w in widths
+    ]
+    methods += [
+        {"name": "GCMAE", "label": f"depth={d}", "overrides": {"num_layers": d}}
+        for d in depths
+    ]
+    return parse_spec(
+        {
+            "name": "figure6",
+            "title": f"Figure 6 — width / depth sweep ({dataset})",
+            "protocol": "classification",
+            "datasets": [dataset],
+            "seeds": [seed],
+            "methods": methods,
+        }
+    )
+
+
 def run_figure6(
     profile: Optional[Profile] = None,
     dataset: str = "cora-like",
@@ -239,34 +268,19 @@ def run_figure6(
     jobs: Optional[int] = None,
 ) -> SeriesResult:
     """Reproduce Figure 6: accuracy vs hidden width and encoder depth."""
+    from ..spec import run_spec
+
     profile = profile if profile is not None else current_profile()
-    graph = load_node_dataset(dataset, seed=seed)
+    spec = figure6_spec(dataset=dataset, widths=widths, depths=depths, seed=seed)
+    table = run_spec(spec, profile=profile, jobs=jobs)
     figure = SeriesResult(
-        name=f"Figure 6 — width / depth sweep ({dataset})",
+        name=table.name,
         x_label="hidden width (width series) or depth (depth series)",
         y_label="accuracy (%)",
     )
-    cells = [("width", width) for width in widths]
-    cells += [("depth", depth) for depth in depths]
-
-    def run_cell(cell: Tuple[str, int]) -> float:
-        series, value = cell
-        if series == "width":
-            config = gcmae_config(profile, hidden_dim=value, embed_dim=value)
-            key = f"fig6-w{value}-{dataset}-{seed}-{profile.name}"
-        else:
-            config = gcmae_config(profile, num_layers=value)
-            key = f"fig6-l{value}-{dataset}-{seed}-{profile.name}"
-        result = cached_fit(key, lambda: GCMAEMethod(config).fit(graph, seed=seed))
-        probe = evaluate_probe(
-            result.embeddings, graph.labels, graph.train_mask, graph.test_mask
-        )
-        return probe.accuracy * 100.0
-
-    for (series, value), accuracy in zip(
-        cells, run_cells(cells, run_cell, jobs=jobs, label="figure6")
-    ):
-        figure.add_point(series, value, accuracy)
+    for series, values in (("width", widths), ("depth", depths)):
+        for value in values:
+            figure.add_point(series, value, table.get(f"{series}={value}", dataset).mean)
     figure.notes.append(
         "paper claims: wider is better up to a point; 2 layers is optimal and "
         "accuracy degrades as depth grows"

@@ -2,14 +2,8 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..eval.classification import cross_validated_probe
-from ..graph.datasets import load_graph_dataset
-from ..obs.hooks import emit_counter
-from ..obs.spans import trace_span
-from ..parallel import run_cells
-from .cache import cached_fit
 from .profiles import Profile, current_profile
 from .registry import graph_ssl_methods, graph_task_datasets
 from .results import ExperimentTable
@@ -45,91 +39,14 @@ def run_table7(
     """Reproduce Table 7: graph-level SSL -> 5-fold-CV linear SVM accuracy.
 
     SeeGera and MaskGAE are absent, matching the paper ("source code
-    unavailable" for graph classification).  A thin wrapper since PR 9:
-    emits :func:`table7_spec` and executes it through
-    :func:`repro.spec.run_spec` (bit-identical to the legacy in-line
-    runner, which ``tests/spec`` asserts).
+    unavailable" for graph classification).  Emits :func:`table7_spec`
+    and executes it through :func:`repro.spec.run_spec`, which voids a
+    cell as "OOM" when any seed runs out of memory.
     """
     from ..spec import run_spec
 
     profile = profile if profile is not None else current_profile()
     spec = table7_spec(profile, datasets=datasets, methods=methods)
     table = run_spec(spec, profile=profile, jobs=jobs)
-    for dataset_name in spec.datasets:
-        best = table.best_row(dataset_name)
-        if best is not None:
-            table.notes.append(f"best on {dataset_name}: {best}")
-    return table
-
-
-def _run_table7_legacy(
-    profile: Optional[Profile] = None,
-    datasets: Optional[List[str]] = None,
-    methods: Optional[List[str]] = None,
-    jobs: Optional[int] = None,
-) -> ExperimentTable:
-    """The pre-spec in-line implementation, kept as the equivalence oracle."""
-    profile = profile if profile is not None else current_profile()
-    datasets = datasets if datasets is not None else graph_task_datasets(profile)
-    methods = methods if methods is not None else list(graph_ssl_methods(profile))
-
-    table = ExperimentTable(
-        name="Table 7 — graph classification accuracy (%)",
-        rows=list(methods),
-        columns=list(datasets),
-    )
-
-    cells: List[Tuple[str, str, int]] = [
-        (method_name, dataset_name, seed)
-        for method_name in methods
-        for dataset_name in datasets
-        for seed in profile.seeds
-    ]
-
-    def run_cell(cell: Tuple[str, str, int]) -> Tuple[str, Optional[float]]:
-        method_name, dataset_name, seed = cell
-        dataset = load_graph_dataset(dataset_name, seed=seed)
-        key = f"gc-{method_name}-{dataset_name}-{seed}-{profile.name}"
-        factories = graph_ssl_methods(profile)
-        try:
-            with trace_span(f"table7/{method_name}/{dataset_name}/seed{seed}"):
-                result = cached_fit(
-                    key,
-                    lambda: factories[method_name]().fit_graphs(dataset, seed=seed),
-                )
-        except MemoryError:
-            # MVGRL's dense diffusion exceeds its size gate on the larger
-            # batches — the paper's Table 7 "OOM" cells.  An OOM on *any*
-            # seed voids the cell: a mean over the surviving seeds would
-            # silently misreport the method.  The counter makes every
-            # voided cell auditable from the persisted run, not just from
-            # the rendered table.
-            emit_counter(
-                "table7.oom",
-                method=method_name,
-                dataset=dataset_name,
-                seed=seed,
-            )
-            return ("oom", None)
-        mean_accuracy, _ = cross_validated_probe(
-            result.embeddings, dataset.labels, num_folds=5, seed=seed
-        )
-        return ("ok", mean_accuracy * 100.0)
-
-    outcomes = run_cells(cells, run_cell, jobs=jobs, label="table7")
-    grouped: dict = {}
-    for (method_name, dataset_name, _seed), outcome in zip(cells, outcomes):
-        grouped.setdefault((method_name, dataset_name), []).append(outcome)
-    for (method_name, dataset_name), results in grouped.items():
-        scores = [value for status, value in results if status == "ok"]
-        oom = any(status == "oom" for status, _ in results)
-        if oom or not scores:
-            table.mark(method_name, dataset_name, "OOM")
-        else:
-            table.set(method_name, dataset_name, scores)
-
-    for dataset_name in datasets:
-        best = table.best_row(dataset_name)
-        if best is not None:
-            table.notes.append(f"best on {dataset_name}: {best}")
+    table.note_best()
     return table

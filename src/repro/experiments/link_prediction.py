@@ -8,16 +8,33 @@ and report AUC/AP on the held-out test edges.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..eval.linkpred import evaluate_link_prediction
-from ..graph.datasets import load_node_dataset
-from ..graph.splits import split_edges
-from ..parallel import run_cells
-from .cache import cached_fit
 from .profiles import Profile, current_profile
-from .registry import node_ssl_methods, node_task_datasets
+from .registry import MVGRL_OOM, node_ssl_methods, node_task_datasets
 from .results import ExperimentTable
+
+
+def table5_spec(
+    profile: Profile,
+    datasets: Optional[List[str]] = None,
+    methods: Optional[List[str]] = None,
+):
+    """The Table 5 run spec (``linkpred`` protocol, no supervised rows)."""
+    from ..spec import parse_spec
+
+    datasets = datasets if datasets is not None else node_task_datasets(profile)
+    methods = methods if methods is not None else list(node_ssl_methods(profile))
+    return parse_spec(
+        {
+            "name": "table5",
+            "title": "Table 5 — link prediction (AUC / AP, %)",
+            "protocol": "linkpred",
+            "datasets": list(datasets),
+            "methods": list(methods),
+            "skip": [MVGRL_OOM],
+        }
+    )
 
 
 def run_table5(
@@ -27,61 +44,13 @@ def run_table5(
     jobs: Optional[int] = None,
 ) -> ExperimentTable:
     """Reproduce Table 5 (no supervised rows, as in the paper)."""
+    from ..spec import run_spec
+
     profile = profile if profile is not None else current_profile()
-    datasets = datasets if datasets is not None else node_task_datasets(profile)
-    ssl_methods = node_ssl_methods(profile)
-    methods = methods if methods is not None else list(ssl_methods)
-
-    columns = []
-    for dataset_name in datasets:
-        columns.append(f"{dataset_name}:AUC")
-        columns.append(f"{dataset_name}:AP")
-    table = ExperimentTable(
-        name="Table 5 — link prediction (AUC / AP, %)",
-        rows=list(methods),
-        columns=columns,
-    )
-
-    cells: List[Tuple[str, str, int]] = []
-    for method_name in methods:
-        for dataset_name in datasets:
-            if method_name == "MVGRL" and dataset_name == "reddit-like":
-                table.mark(method_name, f"{dataset_name}:AUC", "OOM")
-                table.mark(method_name, f"{dataset_name}:AP", "OOM")
-                continue
-            for seed in profile.seeds:
-                cells.append((method_name, dataset_name, seed))
-
-    def run_cell(cell: Tuple[str, str, int]) -> Tuple[float, float]:
-        method_name, dataset_name, seed = cell
-        graph = load_node_dataset(dataset_name, seed=seed)
-        split = split_edges(graph, seed=seed)
-        key = f"lp-{method_name}-{dataset_name}-{seed}-{profile.name}"
-        factories = node_ssl_methods(profile)
-        result = cached_fit(
-            key,
-            lambda: factories[method_name]().fit(split.train_graph, seed=seed),
-        )
-        scores = evaluate_link_prediction(
-            result.embeddings, split, method="finetune", seed=seed
-        )
-        return (scores.auc * 100.0, scores.ap * 100.0)
-
-    pairs = run_cells(cells, run_cell, jobs=jobs, label="table5")
-    grouped: dict = {}
-    for (method_name, dataset_name, _seed), (auc, ap) in zip(cells, pairs):
-        aucs, aps = grouped.setdefault((method_name, dataset_name), ([], []))
-        aucs.append(auc)
-        aps.append(ap)
-    for (method_name, dataset_name), (aucs, aps) in grouped.items():
-        table.set(method_name, f"{dataset_name}:AUC", aucs)
-        table.set(method_name, f"{dataset_name}:AP", aps)
-
-    for column in columns:
-        best = table.best_row(column)
-        if best is not None:
-            table.notes.append(f"best on {column}: {best}")
-    if "GraphMAE" in methods and "MaskGAE" in methods:
+    spec = table5_spec(profile, datasets=datasets, methods=methods)
+    table = run_spec(spec, profile=profile, jobs=jobs)
+    table.note_best()
+    if "GraphMAE" in table.rows and "MaskGAE" in table.rows:
         table.notes.append(
             "paper claim: GraphMAE (feature-only reconstruction) trails the "
             "edge-objective methods; MaskGAE is the strongest baseline"

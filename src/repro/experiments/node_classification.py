@@ -2,35 +2,22 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
+from typing import List, Optional
 
 from ..core.base import EmbeddingResult
-from ..eval.classification import evaluate_probe
 from ..graph.datasets import load_node_dataset
 from ..obs.spans import trace_span
-from ..parallel import run_cells
 from .cache import cached_fit
 from .profiles import Profile, current_profile
 from .registry import (
     CONTRASTIVE_NODE,
     MAE_NODE,
+    MVGRL_OOM,
     node_ssl_methods,
     node_task_datasets,
     supervised_methods,
 )
 from .results import ExperimentTable
-
-# Paper Table 4 (accuracy %) for side-by-side comparison in the bench output.
-PAPER_TABLE4 = {
-    ("GCN", "Cora"): 81.48, ("GCN", "Citeseer"): 70.34, ("GCN", "PubMed"): 79.00,
-    ("GAT", "Cora"): 82.99, ("GAT", "Citeseer"): 72.51, ("GAT", "PubMed"): 79.02,
-    ("DGI", "Cora"): 82.36, ("MVGRL", "Cora"): 83.48, ("GRACE", "Cora"): 81.86,
-    ("CCA-SSG", "Cora"): 84.03, ("GraphMAE", "Cora"): 85.45,
-    ("SeeGera", "Cora"): 85.56, ("S2GAE", "Cora"): 86.15,
-    ("MaskGAE", "Cora"): 87.31, ("GCMAE", "Cora"): 88.82,
-}
-
 
 def fit_node_method(
     method_name: str,
@@ -56,8 +43,7 @@ def table4_spec(
     """The Table 4 run spec: supervised rows first, then the SSL methods.
 
     ``examples/spec_table4.yaml`` is this spec serialized; running either
-    through :func:`repro.spec.run_spec` reproduces the legacy runner
-    bit-for-bit (same cell order, same cache keys, same derived seeds).
+    through :func:`repro.spec.run_spec` gives the same table.
     """
     from ..spec import parse_spec
 
@@ -74,9 +60,7 @@ def table4_spec(
             "protocol": "classification",
             "datasets": list(datasets),
             "methods": rows,
-            # MVGRL's dense diffusion exceeds memory on the large graph,
-            # as in the paper's Table 4.
-            "skip": [{"method": "MVGRL", "dataset": "reddit-like", "mark": "OOM"}],
+            "skip": [MVGRL_OOM],
         }
     )
 
@@ -90,10 +74,8 @@ def run_table4(
 ) -> ExperimentTable:
     """Reproduce Table 4: SSL pretrain -> linear probe -> test accuracy.
 
-    A thin wrapper since PR 9: emits :func:`table4_spec` and executes it
-    through :func:`repro.spec.run_spec` (bit-identical to the legacy
-    in-line runner, which ``tests/spec`` asserts).  ``jobs`` defaults to
-    ``REPRO_JOBS``.
+    Emits :func:`table4_spec` and executes it through
+    :func:`repro.spec.run_spec`.  ``jobs`` defaults to ``REPRO_JOBS``.
     """
     from ..spec import run_spec
 
@@ -109,76 +91,8 @@ def run_table4(
     return table
 
 
-def _run_table4_legacy(
-    profile: Optional[Profile] = None,
-    datasets: Optional[List[str]] = None,
-    methods: Optional[List[str]] = None,
-    include_supervised: bool = True,
-    jobs: Optional[int] = None,
-) -> ExperimentTable:
-    """The pre-spec in-line implementation, kept as the equivalence oracle.
-
-    ``tests/spec/test_equivalence.py`` asserts :func:`run_table4` matches
-    this bit-for-bit; it is not otherwise called.
-    """
-    profile = profile if profile is not None else current_profile()
-    datasets = datasets if datasets is not None else node_task_datasets(profile)
-    ssl_methods = node_ssl_methods(profile)
-    methods = methods if methods is not None else list(ssl_methods)
-
-    rows: List[str] = []
-    if include_supervised:
-        rows.extend(supervised_methods(profile))
-    rows.extend(methods)
-    table = ExperimentTable(
-        name="Table 4 — node classification accuracy (%)",
-        rows=rows,
-        columns=list(datasets),
-    )
-
-    # One cell per (method, dataset, seed), in the canonical serial order.
-    cells: List[Tuple[str, str, int, bool]] = []
-    if include_supervised:
-        for name in supervised_methods(profile):
-            for dataset_name in datasets:
-                for seed in profile.seeds:
-                    cells.append((name, dataset_name, seed, True))
-    for method_name in methods:
-        for dataset_name in datasets:
-            if method_name == "MVGRL" and dataset_name == "reddit-like":
-                table.mark(method_name, dataset_name, "OOM")  # as in the paper
-                continue
-            for seed in profile.seeds:
-                cells.append((method_name, dataset_name, seed, False))
-
-    def run_cell(cell: Tuple[str, str, int, bool]) -> float:
-        method_name, dataset_name, seed, supervised = cell
-        graph = load_node_dataset(dataset_name, seed=seed)
-        if supervised:
-            result = supervised_methods(profile)[method_name]().evaluate(graph, seed=seed)
-            return result.test_accuracy * 100.0
-        embedding = fit_node_method(method_name, dataset_name, seed, profile)
-        probe = evaluate_probe(
-            embedding.embeddings, graph.labels, graph.train_mask, graph.test_mask
-        )
-        return probe.accuracy * 100.0
-
-    scores = run_cells(cells, run_cell, jobs=jobs, label="table4")
-    grouped: dict = {}
-    for (method_name, dataset_name, _seed, _sup), score in zip(cells, scores):
-        grouped.setdefault((method_name, dataset_name), []).append(score)
-    for (method_name, dataset_name), values in grouped.items():
-        table.set(method_name, dataset_name, values)
-
-    _annotate_table4(table, datasets)
-    return table
-
-
 def _annotate_table4(table: ExperimentTable, datasets: List[str]) -> None:
-    for dataset_name in datasets:
-        best = table.best_row(dataset_name)
-        if best is not None:
-            table.notes.append(f"best on {dataset_name}: {best}")
+    table.note_best()
     contrast = [m for m in CONTRASTIVE_NODE if m in table.rows]
     maes = [m for m in MAE_NODE if m in table.rows]
     if "GCMAE" in table.rows and contrast and maes:

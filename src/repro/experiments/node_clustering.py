@@ -2,16 +2,44 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..eval.clustering import evaluate_clustering
-from ..graph.datasets import load_node_dataset
-from ..parallel import run_cells
-from .cache import cached_fit
-from .node_classification import fit_node_method
 from .profiles import Profile, current_profile
-from .registry import clustering_methods, node_ssl_methods, node_task_datasets
+from .registry import (
+    MVGRL_OOM,
+    clustering_methods,
+    node_ssl_methods,
+    node_task_datasets,
+)
 from .results import ExperimentTable
+
+
+def table6_spec(
+    profile: Profile,
+    datasets: Optional[List[str]] = None,
+    methods: Optional[List[str]] = None,
+    include_clustering_specialists: bool = True,
+):
+    """The Table 6 run spec: SSL rows, then the clustering specialists."""
+    from ..spec import parse_spec
+
+    datasets = datasets if datasets is not None else node_task_datasets(profile)
+    methods = methods if methods is not None else [
+        m for m in node_ssl_methods(profile) if m != "SeeGera"  # Table 6 omits SeeGera
+    ]
+    rows = list(methods)
+    if include_clustering_specialists:
+        rows.extend(clustering_methods(profile))
+    return parse_spec(
+        {
+            "name": "table6",
+            "title": "Table 6 — node clustering (NMI / ARI, %)",
+            "protocol": "clustering",
+            "datasets": list(datasets),
+            "methods": rows,
+            "skip": [MVGRL_OOM],
+        }
+    )
 
 
 def run_table6(
@@ -23,66 +51,19 @@ def run_table6(
 ) -> ExperimentTable:
     """Reproduce Table 6: k-means over frozen embeddings, scored by NMI/ARI.
 
-    Reuses the cached Table 4 pretrainings for the shared SSL methods, which
-    is exactly the paper's protocol (one pretraining per method/dataset, all
-    downstream tasks evaluated from it).
+    The SSL rows share Table 4's cached pretrainings, which is exactly the
+    paper's protocol (one pretraining per method/dataset, all downstream
+    tasks evaluated from it).
     """
+    from ..spec import run_spec
+
     profile = profile if profile is not None else current_profile()
-    datasets = datasets if datasets is not None else node_task_datasets(profile)
-    ssl_methods = node_ssl_methods(profile)
-    methods = methods if methods is not None else [
-        m for m in ssl_methods if m != "SeeGera"  # Table 6 omits SeeGera
-    ]
-    specialist_factories = clustering_methods(profile) if include_clustering_specialists else {}
-
-    columns = []
-    for dataset_name in datasets:
-        columns.append(f"{dataset_name}:NMI")
-        columns.append(f"{dataset_name}:ARI")
-    table = ExperimentTable(
-        name="Table 6 — node clustering (NMI / ARI, %)",
-        rows=list(methods) + list(specialist_factories),
-        columns=columns,
+    spec = table6_spec(
+        profile,
+        datasets=datasets,
+        methods=methods,
+        include_clustering_specialists=include_clustering_specialists,
     )
-
-    cells: List[Tuple[str, str, int, bool]] = []
-    for method_name in methods:
-        for dataset_name in datasets:
-            if method_name == "MVGRL" and dataset_name == "reddit-like":
-                table.mark(method_name, f"{dataset_name}:NMI", "OOM")
-                table.mark(method_name, f"{dataset_name}:ARI", "OOM")
-                continue
-            for seed in profile.seeds:
-                cells.append((method_name, dataset_name, seed, False))
-    for method_name in specialist_factories:
-        for dataset_name in datasets:
-            for seed in profile.seeds:
-                cells.append((method_name, dataset_name, seed, True))
-
-    def run_cell(cell: Tuple[str, str, int, bool]) -> Tuple[float, float]:
-        method_name, dataset_name, seed, specialist = cell
-        graph = load_node_dataset(dataset_name, seed=seed)
-        if specialist:
-            factory = clustering_methods(profile)[method_name]
-            key = f"{method_name}-{dataset_name}-{seed}-{profile.name}"
-            embeddings = cached_fit(key, lambda: factory().fit(graph, seed=seed)).embeddings
-        else:
-            embeddings = fit_node_method(method_name, dataset_name, seed, profile).embeddings
-        scores = evaluate_clustering(embeddings, graph.labels, seed=seed)
-        return (scores.nmi * 100.0, scores.ari * 100.0)
-
-    pairs = run_cells(cells, run_cell, jobs=jobs, label="table6")
-    grouped: dict = {}
-    for (method_name, dataset_name, _seed, _spec), (nmi, ari) in zip(cells, pairs):
-        nmis, aris = grouped.setdefault((method_name, dataset_name), ([], []))
-        nmis.append(nmi)
-        aris.append(ari)
-    for (method_name, dataset_name), (nmis, aris) in grouped.items():
-        table.set(method_name, f"{dataset_name}:NMI", nmis)
-        table.set(method_name, f"{dataset_name}:ARI", aris)
-
-    for column in columns:
-        best = table.best_row(column)
-        if best is not None:
-            table.notes.append(f"best on {column}: {best}")
+    table = run_spec(spec, profile=profile, jobs=jobs)
+    table.note_best()
     return table

@@ -79,6 +79,11 @@ def graph_ssl_methods(profile: Profile) -> Dict[str, Callable[[], object]]:
     return _factories(method_entries("graph"), profile)
 
 
+# MVGRL's dense diffusion exceeds memory on the large graph: Tables 4-6
+# pre-mark those cells, as the paper does.
+MVGRL_OOM = {"method": "MVGRL", "dataset": "reddit-like", "mark": "OOM"}
+
+
 def node_task_datasets(profile: Profile) -> List[str]:
     """Dataset names for the node-level tables, respecting the profile.
 
@@ -91,6 +96,12 @@ def node_task_datasets(profile: Profile) -> List[str]:
     if profile.include_reddit:
         names.append("reddit-like")
     return names
+
+
+def citation_datasets(profile: Profile) -> List[str]:
+    """The citation graphs of Tables 8 and 10 (pubmed-like unless ``fast``)."""
+    names = ["cora-like", "citeseer-like", "pubmed-like"]
+    return names[:2] if profile.name == "fast" else names
 
 
 def graph_task_datasets(profile: Profile) -> List[str]:

@@ -69,6 +69,13 @@ class ExperimentTable:
             return None
         return max(candidates)[1]
 
+    def note_best(self) -> None:
+        """Append a ``best on <column>`` note for every column with cells."""
+        for column in self.columns:
+            best = self.best_row(column)
+            if best is not None:
+                self.notes.append(f"best on {column}: {best}")
+
     def to_text(self) -> str:
         """Render as an aligned plain-text table (the bench output format)."""
         header = ["method"] + list(self.columns)

@@ -20,6 +20,7 @@ Design notes
 from __future__ import annotations
 
 import functools
+import threading
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -30,7 +31,14 @@ from .profiler import profiled_op
 
 Arrayable = Union["Tensor", np.ndarray, float, int, list, tuple]
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """The grad-mode flag, kept per thread; every new thread starts enabled."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 class no_grad:
@@ -38,7 +46,9 @@ class no_grad:
 
     Inside a ``with no_grad():`` block every operation produces constant
     tensors, which makes pure-inference passes cheaper and prevents the
-    training graph from retaining evaluation work.  Beyond not storing
+    training graph from retaining evaluation work.  The mode belongs to the
+    calling thread, so a serving thread's ``no_grad`` never turns off
+    gradient recording in a thread that trains.  Beyond not storing
     parents/backward closures, grad-aware kernels consult
     :func:`is_grad_enabled` at forward time to skip work that only exists
     for the backward pass (e.g. :func:`repro.nn.functional.spmm` resolving
@@ -52,14 +62,12 @@ class no_grad:
     """
 
     def __enter__(self) -> "no_grad":
-        global _grad_enabled
-        self._previous = _grad_enabled
-        _grad_enabled = False
+        self._previous = _grad_mode.enabled
+        _grad_mode.enabled = False
         return self
 
     def __exit__(self, *exc_info) -> None:
-        global _grad_enabled
-        _grad_enabled = self._previous
+        _grad_mode.enabled = self._previous
 
     def __call__(self, fn):
         @functools.wraps(fn)
@@ -71,8 +79,8 @@ class no_grad:
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations currently record the autograd graph."""
-    return _grad_enabled
+    """Return whether operations in this thread record the autograd graph."""
+    return _grad_mode.enabled
 
 
 def _as_array(value: Arrayable) -> np.ndarray:
@@ -146,7 +154,7 @@ class Tensor:
 
     def __init__(self, data: Arrayable, requires_grad: bool = False) -> None:
         self.data: np.ndarray = _as_array(data)
-        self.requires_grad: bool = bool(requires_grad) and _grad_enabled
+        self.requires_grad: bool = bool(requires_grad) and _grad_mode.enabled
         self.grad: Optional[np.ndarray] = None
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
@@ -200,7 +208,7 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
         """Create a result tensor wired into the autograd graph."""
-        requires = _grad_enabled and any(p.requires_grad for p in parents)
+        requires = _grad_mode.enabled and any(p.requires_grad for p in parents)
         out = cls(data, requires_grad=False)
         out.requires_grad = requires
         if requires:

@@ -1,13 +1,14 @@
 """The registered eval protocols a run spec can name.
 
-Each protocol bundles what used to be hard-coded inside one table runner:
-which dataset family it loads (``node`` vs ``graph``, which also selects
-the method registry protocol), the embedding-cache key prefix (kept
-byte-compatible with the legacy runners so spec runs share cached
-pretrainings with them), the metric column suffixes, and the per-cell
+Each protocol bundles what one paper table's evaluation needs: which
+dataset family it loads (``node`` vs ``graph``, which also selects the
+method registry protocol), the embedding-cache key prefix (protocols that
+score the same pretraining share one prefix, so Tables 4 and 6 share
+cached pretrainings), the metric column suffixes, and the per-cell
 evaluation function.
 
-* ``classification``       — Table 4: linear probe accuracy (supervised
+* ``classification``       — Tables 4 and 10, the design ablation, the
+  extension comparison and Figure 6: linear probe accuracy (supervised
   rows evaluate end-to-end instead of probing).
 * ``clustering``           — Table 6: k-means NMI/ARI over frozen
   embeddings.
@@ -42,10 +43,10 @@ class CellContext:
         """The embedding-cache key for one cell.
 
         For a variant whose label is its method name at the profile-default
-        config this reduces to the legacy runners' key
-        (``{prefix}{method}-{dataset}-{seed}-{profile}``), so spec runs hit
-        the same cache entries; renamed or overridden variants get a label
-        and/or config-digest suffix and never collide with them.
+        config this reduces to ``{prefix}{method}-{dataset}-{seed}-{profile}``,
+        so every spec that runs that method at its defaults shares one cache
+        entry; renamed or overridden variants get a label and/or
+        config-digest suffix and never collide with them.
         """
         label = f"-{variant.label}" if variant.label != variant.method else ""
         return (

@@ -1,11 +1,12 @@
 """Execute a run spec: expand, fan cells out, fold outcomes into a table.
 
 :func:`run_spec` is the one executor behind ``repro run spec.yaml`` and the
-table wrappers (``run_table4``/``run_table7``/``run_design_ablation``):
+paper runners that emit specs (``docs/SPECS.md`` lists them):
 
 * the plan's cells run through :func:`repro.parallel.run_cells` under the
-  spec's name as the determinism label, so results are bit-identical to the
-  legacy serial runners (same cell order, same per-cell derived seeds);
+  spec's name as the determinism label, so each cell's derived seed
+  depends only on that name and the cell's position, never on the jobs
+  count;
 * with ``telemetry_dir`` set, the whole sweep lands in one schema-valid
   telemetry run whose manifest carries the expanded plan — including every
   variant's fully-resolved post-override config — under the ``spec`` key.

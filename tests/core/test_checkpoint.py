@@ -19,11 +19,14 @@ class TestCheckpoint:
         np.testing.assert_allclose(before, after)
 
     def test_roundtrip_preserves_config(self, tmp_path):
-        config = TINY.with_overrides(mask_rate=0.33, structure_terms=("bce", "dist"))
+        config = TINY.with_overrides(
+            mask_rate=0.33, structure_terms=("bce", "dist"), sampled_fanouts=(2, 2)
+        )
         model = GCMAE(GRAPH.num_features, config, rng=np.random.default_rng(0))
         restored = load_gcmae(save_gcmae(model, tmp_path / "model.npz"))
-        assert restored.config.mask_rate == 0.33
-        assert restored.config.structure_terms == ("bce", "dist")
+        assert restored.config == config
+        assert restored.config.sampled_fanouts == (2, 2)
+        assert hash(restored.config) == hash(config)
         assert restored.num_features == GRAPH.num_features
 
     def test_restored_model_is_eval_mode(self, tmp_path):

@@ -1,15 +1,18 @@
 """Integration tests: every table/figure runner executes end-to-end.
 
-These use a micro profile (tiny dims, 1-2 epochs) — they validate plumbing,
-shapes, and annotations, not accuracy (the benchmarks do that).
+These use micro profiles (tiny dims, 1-2 epochs) — they validate plumbing,
+shapes, and annotations, not accuracy (the benchmarks do that).  Every
+deterministic result is compared whole with its entry in
+``tests/golden_tables.json``; the 2-seed calls pin per-cell stds too.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.experiments import (
-    ABLATION_ROWS,
     Profile,
-    VARIANT_ROWS,
+    run_extension_comparison,
     run_figure1,
     run_figure4,
     run_figure5,
@@ -22,6 +25,7 @@ from repro.experiments import (
     run_table8,
     run_table9,
 )
+from tests.golden_tables import assert_golden
 
 MICRO = Profile(
     name="micro",
@@ -32,6 +36,7 @@ MICRO = Profile(
     graph_epochs=2,
     include_reddit=False,
 )
+MICRO2 = dataclasses.replace(MICRO, num_seeds=2)
 
 
 @pytest.fixture(autouse=True)
@@ -47,9 +52,7 @@ class TestTableRunners:
             methods=["DGI", "GCMAE"],
             include_supervised=True,
         )
-        assert table.get("GCN", "cora-like") is not None
-        assert table.get("GCMAE", "cora-like") is not None
-        assert any("best on" in note for note in table.notes)
+        assert_golden("table4", table)
 
     def test_table4_without_supervised(self):
         table = run_table4(
@@ -58,14 +61,13 @@ class TestTableRunners:
             methods=["DGI"],
             include_supervised=False,
         )
-        assert "GCN" not in table.rows
+        assert_golden("table4-no-supervised", table)
 
     def test_table5(self):
         table = run_table5(
-            profile=MICRO, datasets=["cora-like"], methods=["MaskGAE", "GCMAE"]
+            profile=MICRO2, datasets=["cora-like"], methods=["MaskGAE", "GCMAE"]
         )
-        cell = table.get("MaskGAE", "cora-like:AUC")
-        assert cell is not None and 0 <= cell.mean <= 100
+        assert_golden("table5", table)
 
     def test_table6(self):
         table = run_table6(
@@ -74,23 +76,22 @@ class TestTableRunners:
             methods=["DGI", "GCMAE"],
             include_clustering_specialists=False,
         )
-        assert table.get("GCMAE", "cora-like:NMI") is not None
-        assert table.get("GCMAE", "cora-like:ARI") is not None
+        assert_golden("table6", table)
 
     def test_table6_with_specialists(self):
         table = run_table6(
-            profile=MICRO,
+            profile=MICRO2,
             datasets=["cora-like"],
             methods=["DGI"],
             include_clustering_specialists=True,
         )
-        assert table.get("GCC", "cora-like:NMI") is not None
+        assert_golden("table6-specialists", table)
 
     def test_table7(self):
         table = run_table7(
             profile=MICRO, datasets=["mutag-like"], methods=["GraphCL", "GCMAE"]
         )
-        assert table.get("GCMAE", "mutag-like") is not None
+        assert_golden("table7", table)
 
     def test_table7_oom_on_later_seed_voids_cell(self, monkeypatch):
         """An OOM on any seed marks the whole cell OOM — earlier seeds'
@@ -128,17 +129,8 @@ class TestTableRunners:
                 builder=lambda cfg: FlakyMethod(),
             ),
         )
-        two_seeds = Profile(
-            name="micro2",
-            hidden_dim=16,
-            epochs=2,
-            gcmae_epochs=2,
-            num_seeds=2,
-            graph_epochs=2,
-            include_reddit=False,
-        )
         table = run_table7(
-            profile=two_seeds, datasets=["mutag-like"], methods=["Flaky"]
+            profile=MICRO2, datasets=["mutag-like"], methods=["Flaky"]
         )
         assert FlakyMethod.calls == 2  # first seed scored, second OOMed
         assert table.get("Flaky", "mutag-like") is None
@@ -146,8 +138,7 @@ class TestTableRunners:
 
     def test_table8(self):
         table = run_table8(profile=MICRO, datasets=["cora-like"])
-        for row in VARIANT_ROWS:
-            assert table.get(row, "cora-like") is not None
+        assert_golden("table8", table)
 
     def test_table9(self):
         table = run_table9(
@@ -157,9 +148,12 @@ class TestTableRunners:
         assert cell is not None and cell.mean > 0
 
     def test_table10(self):
-        table = run_table10(profile=MICRO, datasets=["cora-like"])
-        for row in ABLATION_ROWS:
-            assert table.get(row, "cora-like") is not None
+        table = run_table10(profile=MICRO2, datasets=["cora-like"])
+        assert_golden("table10", table)
+
+    def test_extension_comparison(self):
+        table = run_extension_comparison(profile=MICRO, datasets=["cora-like"])
+        assert_golden("extension_comparison", table)
 
 
 class TestFigureRunners:
@@ -185,5 +179,4 @@ class TestFigureRunners:
 
     def test_figure6_sweeps(self):
         figure = run_figure6(profile=MICRO, widths=(8, 16), depths=(1, 2))
-        assert set(figure.series) == {"width", "depth"}
-        assert sorted(figure.series["width"]) == [8, 16]
+        assert_golden("figure6", figure)

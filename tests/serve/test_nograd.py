@@ -1,5 +1,7 @@
 """No-grad inference path: bit-equality with the grad path, tape suppression."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,62 @@ class TestNoGradSemantics:
         assert calls == []
         F.spmm(graph.adjacency, dense)
         assert len(calls) == 1
+
+
+class TestNoGradThreads:
+    """The grad mode is per thread: serving threads cannot leak it."""
+
+    @staticmethod
+    def _run(*targets):
+        threads = [threading.Thread(target=target) for target in targets]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+
+    def test_interleaved_nesting_restores_every_thread(self):
+        # A enters, B enters, A exits, B exits: with one process-wide flag
+        # B's exit restores the False that A's entry left behind.
+        a_entered, b_entered, a_exited = (threading.Event() for _ in range(3))
+        after_exit = {}
+
+        def thread_a():
+            with no_grad():
+                a_entered.set()
+                assert b_entered.wait(timeout=5)
+            a_exited.set()
+            after_exit["a"] = is_grad_enabled()
+
+        def thread_b():
+            assert a_entered.wait(timeout=5)
+            with no_grad():
+                b_entered.set()
+                assert a_exited.wait(timeout=5)
+            after_exit["b"] = is_grad_enabled()
+
+        self._run(thread_a, thread_b)
+        assert after_exit == {"a": True, "b": True}
+        assert is_grad_enabled()
+
+    def test_worker_no_grad_leaves_main_thread_recording(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def worker():
+            with no_grad():
+                entered.set()
+                release.wait(timeout=5)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        try:
+            assert entered.wait(timeout=5)
+            weight = Tensor(np.ones(4), requires_grad=True)
+            out = (weight * 2.0).sum()
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert out.requires_grad
+        out.backward()
+        np.testing.assert_array_equal(weight.grad, np.full(4, 2.0))

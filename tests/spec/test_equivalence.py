@@ -1,21 +1,20 @@
-"""The spec-driven table runners reproduce the legacy runners bit-for-bit.
+"""The spec-driven table runners reproduce the pre-spec runners bit-for-bit.
 
-``run_table4``/``run_table7``/``run_design_ablation`` became thin wrappers
-that emit a spec and execute it through :func:`repro.spec.run_spec`; the
-pre-spec in-line implementations are kept as equivalence oracles.  Same
-cell order, same determinism label, same per-cell derived seeds — so every
-cell (mean and std), every mark, and every note must match exactly.
+``run_table4``/``run_table7``/``run_design_ablation`` emit a spec and
+execute it through :func:`repro.spec.run_spec`.  Their 2-seed outputs are
+pinned in ``tests/golden_tables.json``, recorded by running the in-line
+runners these wrappers replaced: same cell order, same determinism label,
+same per-cell derived seeds — so every cell (mean and std), every mark,
+and every note must match exactly.
 """
 
 import pytest
 
-from repro.experiments.extensions import (
-    _run_design_ablation_legacy,
-    run_design_ablation,
-)
-from repro.experiments.graph_classification import _run_table7_legacy, run_table7
-from repro.experiments.node_classification import _run_table4_legacy, run_table4
+from repro.experiments.extensions import run_design_ablation
+from repro.experiments.graph_classification import run_table7
+from repro.experiments.node_classification import run_table4
 from repro.experiments.profiles import Profile
+from tests.golden_tables import assert_golden
 
 # Two seeds so per-cell stds (seed derivation) are exercised, not just means.
 MICRO2 = Profile(
@@ -34,39 +33,21 @@ def no_cache(monkeypatch):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
 
 
-def assert_tables_identical(spec_table, legacy_table):
-    assert spec_table.name == legacy_table.name
-    assert spec_table.rows == legacy_table.rows
-    assert spec_table.columns == legacy_table.columns
-    assert spec_table.missing == legacy_table.missing
-    assert spec_table.notes == legacy_table.notes
-    for row in legacy_table.rows:
-        for column in legacy_table.columns:
-            expected = legacy_table.get(row, column)
-            actual = spec_table.get(row, column)
-            if expected is None:
-                assert actual is None, (row, column)
-            else:
-                # bit-identical: same values in, same float arithmetic out
-                assert actual.mean == expected.mean, (row, column)
-                assert actual.std == expected.std, (row, column)
-
-
 def test_table4_matches_legacy():
-    kwargs = dict(
+    table = run_table4(
         profile=MICRO2,
         datasets=["cora-like"],
         methods=["DGI", "GCMAE"],
         include_supervised=True,
     )
-    assert_tables_identical(run_table4(**kwargs), _run_table4_legacy(**kwargs))
+    assert_golden("table4-2seed", table)
 
 
 def test_table7_matches_legacy():
-    kwargs = dict(
+    table = run_table7(
         profile=MICRO2, datasets=["mutag-like"], methods=["GraphCL", "GCMAE"]
     )
-    assert_tables_identical(run_table7(**kwargs), _run_table7_legacy(**kwargs))
+    assert_golden("table7-2seed", table)
 
 
 def test_design_ablation_matches_legacy():
@@ -75,7 +56,7 @@ def test_design_ablation_matches_legacy():
         "no contrast": {"use_contrastive": False},
         "L_E: bce only": {"structure_terms": ("bce",)},
     }
-    kwargs = dict(profile=MICRO2, datasets=["cora-like"], variants=variants)
-    assert_tables_identical(
-        run_design_ablation(**kwargs), _run_design_ablation_legacy(**kwargs)
+    table = run_design_ablation(
+        profile=MICRO2, datasets=["cora-like"], variants=variants
     )
+    assert_golden("design_ablation-2seed", table)

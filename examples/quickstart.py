@@ -24,6 +24,7 @@ def main() -> None:
     config = GCMAEConfig(hidden_dim=128, embed_dim=128, epochs=100)
     method = GCMAEMethod(config)
     result = method.fit(graph, seed=0)
+    model = method.last_train_result.model  # step 5 refits, so keep this one
     print(
         f"pretrained in {result.train_seconds:.1f}s; "
         f"loss {result.loss_history[0]:.3f} -> {result.loss_history[-1]:.3f}"
@@ -50,7 +51,7 @@ def main() -> None:
     # 6. Checkpointing: persist the pretrained model and reload it later.
     from repro.core import load_gcmae, save_gcmae
 
-    path = save_gcmae(method.last_train_result.model, "gcmae-quickstart.npz")
+    path = save_gcmae(model, "gcmae-quickstart.npz")
     restored = load_gcmae(path)
     roundtrip = restored.embed(graph.adjacency, graph.features)
     assert np.allclose(roundtrip, result.embeddings)

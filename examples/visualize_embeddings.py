@@ -18,8 +18,8 @@ def ascii_scatter(coordinates: np.ndarray, labels: np.ndarray, width=68, height=
     """Render labelled 2-D points as a character grid."""
     glyphs = "0123456789abcdefghijklmnop"
     x, y = coordinates[:, 0], coordinates[:, 1]
-    x = (x - x.min()) / max(x.ptp(), 1e-9)
-    y = (y - y.min()) / max(y.ptp(), 1e-9)
+    x = (x - x.min()) / max(np.ptp(x), 1e-9)
+    y = (y - y.min()) / max(np.ptp(y), 1e-9)
     grid = [[" "] * width for _ in range(height)]
     for xi, yi, label in zip(x, y, labels):
         row = min(height - 1, int(yi * (height - 1)))

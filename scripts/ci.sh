@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local mirror of .github/workflows/ci.yml: lint, tier-1 tests, benchmark
-# self-test, perf smoke, serving smoke, bench-history regression check,
-# telemetry sample run.
+# self-test, examples, perf smoke, serving smoke, bench-history regression
+# check, telemetry sample run.
 #
 # Usage: scripts/ci.sh [--report-only]
 #   --report-only   run the perf benchmark without enforcing min_speedup
@@ -34,6 +34,14 @@ echo "== benchmark self-test (perfbench: every workload at its smallest size) ==
 # Tier-1 collects only tests/; this stage fails a change that renames or
 # moves a callable the benchmark wraps (the layer map in perfbench/tracing.py).
 python3 -m pytest perfbench -q
+
+echo "== examples (every examples/*.py must exit 0) =="
+# No test runs the examples, and each is a documented user command (the
+# quickstart is the README's first).  About 7 minutes on 2 cores.
+for example in examples/*.py; do
+    echo "-- $example"
+    PYTHONPATH=src python "$example"
+done
 
 echo "== perf smoke (node sparse path + graph-classification batching) =="
 # Covers both committed gates: the CSR-cached node path and the

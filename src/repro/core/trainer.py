@@ -27,7 +27,7 @@ from ..graph.data import Graph, GraphDataset
 from ..graph.sampling import neighbor_block_steps
 from ..nn.dtype import dtype_policy
 from ..nn.optim import Adam
-from ..obs.hooks import CallbackHook, EpochHook
+from ..obs.hooks import EpochHook
 from ..registry import register_method
 from .base import EmbeddingResult
 from .config import GCMAEConfig
@@ -202,7 +202,6 @@ def train_gcmae(
     graph: Graph,
     config: Optional[GCMAEConfig] = None,
     seed: int = 0,
-    epoch_callback=None,
     hooks: Sequence[EpochHook] = (),
 ) -> TrainResult:
     """Pretrain GCMAE on one graph following Algorithm 1.
@@ -215,10 +214,6 @@ def train_gcmae(
         Hyper-parameters; defaults to :class:`GCMAEConfig`.
     seed:
         Seeds weight init, augmentations, and subgraph sampling.
-    epoch_callback:
-        Legacy ``callback(epoch, model)`` hook, wrapped in
-        :class:`~repro.obs.hooks.CallbackHook` for back compatibility.
-        Prefer ``hooks``.
     hooks:
         :class:`~repro.obs.hooks.EpochHook` instances receiving one
         :class:`~repro.obs.hooks.EpochEvent` per epoch, in addition to any
@@ -226,12 +221,9 @@ def train_gcmae(
         :func:`repro.obs.telemetry_run` recorder).
     """
     config = config if config is not None else GCMAEConfig()
-    hooks = tuple(hooks)
-    if epoch_callback is not None:
-        hooks += (CallbackHook(epoch_callback),)
     loop = TrainLoop(config.epochs, early_stopping=_early_stopping(config))
     with _config_dtype(config):
-        outcome = loop.run(_GCMAENodeMethod(config), graph, seed=seed, hooks=hooks)
+        outcome = loop.run(_GCMAENodeMethod(config), graph, seed=seed, hooks=tuple(hooks))
     return _train_result(outcome)
 
 

@@ -20,6 +20,8 @@ every caller.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import re
 import threading
@@ -176,7 +178,6 @@ class TrainLoop:
         checkpoint_dir: Optional[str] = None,
         checkpoint_every: int = 1,
         resume: bool = False,
-        checkpoint_name: Optional[str] = None,
     ) -> None:
         if epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {epochs}")
@@ -185,7 +186,6 @@ class TrainLoop:
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
         self.resume = resume
-        self.checkpoint_name = checkpoint_name
 
     # ------------------------------------------------------------------
     def _policy(self) -> Optional[CheckpointPolicy]:
@@ -196,14 +196,20 @@ class TrainLoop:
         return active_checkpoint_policy()
 
     def _checkpoint_path(
-        self, policy: CheckpointPolicy, method: Method, data, seed: int
+        self, policy: CheckpointPolicy, method: Method, data, seed: int, config: Optional[dict]
     ) -> str:
-        if self.checkpoint_name is not None:
-            name = self.checkpoint_name
-        else:
-            data_tag = _slug(getattr(data, "name", None) or "data")
-            name = f"{_slug(method.name)}-{data_tag}-seed{seed}.npz"
-        return os.path.join(policy.directory, name)
+        """``<method>-<data>-seed<seed>[-<config digest>].npz`` in the policy dir.
+
+        The digest leaves out ``epochs``, so a longer run resumes a shorter
+        one's file, while runs of other configs never share it.
+        """
+        data_tag = _slug(getattr(data, "name", None) or "data")
+        name = f"{_slug(method.name)}-{data_tag}-seed{seed}"
+        if config is not None:
+            trimmed = {key: value for key, value in config.items() if key != "epochs"}
+            blob = json.dumps(trimmed, sort_keys=True, separators=(",", ":"))
+            name += "-" + hashlib.sha256(blob.encode("utf-8")).hexdigest()[:10]
+        return os.path.join(policy.directory, name + ".npz")
 
     # ------------------------------------------------------------------
     def run(
@@ -228,9 +234,8 @@ class TrainLoop:
         elapsed_before = 0.0
 
         policy = self._policy()
-        ckpt_path = (
-            self._checkpoint_path(policy, method, data, seed) if policy else None
-        )
+        config = method.resolved_config() if policy else None
+        ckpt_path = self._checkpoint_path(policy, method, data, seed, config) if policy else None
         if policy and policy.resume and ckpt_path and os.path.exists(ckpt_path):
             meta = load_checkpoint(ckpt_path, state)
             start_epoch = int(meta["epoch"])
@@ -340,6 +345,7 @@ class TrainLoop:
                         "epoch": epoch + 1,
                         "method": method.name,
                         "seed": seed,
+                        "config": config,
                         "loss_history": result.loss_history,
                         "parts_history": result.parts_history,
                         "epoch_seconds": result.epoch_seconds,

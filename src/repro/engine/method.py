@@ -32,6 +32,7 @@ graph-level ones.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Optional, Tuple
 
@@ -40,6 +41,7 @@ import numpy as np
 from ..nn.module import Module
 from ..nn.optim import Optimizer
 from ..nn.tensor import Tensor
+from ..registry.config import ConfigError, config_dict, derive_config_class
 
 
 @dataclass
@@ -168,6 +170,24 @@ class Method:
         """Hook after telemetry (e.g. JOAO's augmentation reweighting)."""
 
     # -- resume support ------------------------------------------------
+    def resolved_config(self) -> Optional[Dict[str, Any]]:
+        """The run's config as a JSON-safe dict (``None`` if it cannot be read).
+
+        Checkpoints record it and digest it into their file name.  GCMAE's
+        methods hold a ``config`` dataclass; registered baselines keep each
+        registry-derived config field as a same-named attribute.
+        """
+        config = getattr(self, "config", None)
+        if not dataclasses.is_dataclass(config):
+            try:
+                schema = derive_config_class(type(self))
+                config = schema(
+                    **{f.name: getattr(self, f.name) for f in dataclasses.fields(schema)}
+                )
+            except (ConfigError, AttributeError):
+                return None
+        return config_dict(config)
+
     def extra_state(self, state: TrainState) -> Dict[str, Any]:
         """JSON-serialisable method state beyond modules/optimizer/rng.
 

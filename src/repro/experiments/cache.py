@@ -98,7 +98,7 @@ def _publish_entry(path: Path, result: EmbeddingResult) -> None:
     """
     partial = Path(f"{path}.{os.getpid()}.tmp")
     with open(partial, "wb") as handle:  # file object: numpy won't rename it
-        np.savez_compressed(
+        np.savez(  # plain, like checkpoints: embeddings barely compress
             handle,
             embeddings=result.embeddings,
             train_seconds=np.float64(result.train_seconds),

@@ -41,7 +41,6 @@ from .history import (
     render_trend,
 )
 from .hooks import (
-    CallbackHook,
     EpochEvent,
     EpochHook,
     LambdaHook,
@@ -77,7 +76,6 @@ from .watch import EventTail, RunWatcher, render_watch, watch_run
 from .writer import RunWriter, config_dict, make_run_id, telemetry_run
 
 __all__ = [
-    "CallbackHook",
     "DivergenceError",
     "EVENT_SCHEMAS",
     "EpochEvent",

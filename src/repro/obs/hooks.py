@@ -16,8 +16,7 @@ active hook.  Hooks come from two places:
   loops knowing about it), and
 * ``extra_hooks`` passed by the caller, which is how
   :func:`repro.core.trainer.train_gcmae` forwards its per-call ``hooks``
-  argument (and the legacy ``epoch_callback`` through
-  :class:`CallbackHook`).
+  argument.
 
 When no hook is active anywhere, :func:`emit_epoch` is a single function
 call and a thread-local ``getattr`` — cheap enough to leave in every loop
@@ -25,8 +24,8 @@ unconditionally (guarded by the micro-benchmark in
 ``benchmarks/test_perf_regression.py``).
 
 Gradient statistics are only computed when at least one active hook sets
-``wants_gradients = True`` (the recorder does; the legacy callback shim does
-not), so a Figure 4 probe never pays for norms it does not read.
+``wants_gradients = True`` (the recorder does; a :class:`LambdaHook` does not
+unless asked), so a Figure 4 probe never pays for norms it does not read.
 """
 
 from __future__ import annotations
@@ -118,18 +117,6 @@ class EpochHook(Protocol):
     def on_epoch(self, event: EpochEvent) -> None:
         """Called once per epoch with the epoch's :class:`EpochEvent`."""
         ...
-
-
-class CallbackHook:
-    """Back-compat shim wrapping a legacy ``callback(epoch, model)``."""
-
-    wants_gradients = False
-
-    def __init__(self, callback: Callable[[int, object], None]) -> None:
-        self.callback = callback
-
-    def on_epoch(self, event: EpochEvent) -> None:
-        self.callback(event.epoch, event.model)
 
 
 class LambdaHook:

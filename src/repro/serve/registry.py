@@ -1,37 +1,36 @@
 """Frozen-encoder model registry for the serving layer.
 
-A trained run leaves behind one atomic ``.npz`` checkpoint (the
-:mod:`repro.engine.checkpoint` format: ``module/<module>/<param>`` arrays
-plus a ``__meta_json__`` blob).  The registry turns those files back into
-live, eval-mode encoders:
+Engine, GCMAE and serving checkpoints share the one
+:mod:`repro.engine.checkpoint` format (``module/<module>/<param>`` arrays
+plus a ``__meta_json__`` blob), read and written only through
+:func:`~repro.engine.checkpoint.read_checkpoint` and
+:func:`~repro.engine.checkpoint.write_checkpoint`.  The registry turns
+those files back into live, eval-mode encoders:
 
 * :class:`EncoderSpec` — the constructor arguments of a
   :class:`~repro.gnn.encoder.GNNEncoder`, JSON round-trippable so a spec
   can ride inside a checkpoint's meta blob.
 * :func:`load_encoder` — rebuild an encoder from a spec and load its
-  weights out of any engine checkpoint, whether the encoder was
+  weights out of any such checkpoint, whether the encoder was
   checkpointed standalone (module ``encoder``) or as a submodule of a
   larger model (GCMAE checkpoints store ``module/model/encoder.*``).
-* :func:`save_encoder` — write a standalone serving checkpoint (same
-  atomic format, spec embedded) from a live encoder.
+* :func:`save_encoder` — write a standalone serving checkpoint (module
+  ``encoder``, spec embedded in the meta) from a live encoder.
 * :class:`ModelRegistry` — named, versioned collection of loaded models
   that :class:`~repro.serve.service.EmbeddingService` serves from.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..engine.checkpoint import atomic_savez
+from ..engine.checkpoint import read_checkpoint, write_checkpoint
 from ..gnn.encoder import GNNEncoder
 from ..obs.hooks import emit_counter
-
-_META_KEY = "__meta_json__"
 
 
 @dataclass(frozen=True)
@@ -69,23 +68,6 @@ class EncoderSpec:
     def from_dict(cls, payload: Dict[str, object]) -> "EncoderSpec":
         fields = {name for name in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in payload.items() if k in fields})
-
-
-def _read_checkpoint(path: Union[str, Path]):
-    """``(module_states, meta)`` out of an engine/serving checkpoint file."""
-    module_states: Dict[str, Dict[str, np.ndarray]] = {}
-    meta: Dict[str, object] = {}
-    with np.load(Path(path)) as payload:
-        for key in payload.files:
-            if key == _META_KEY:
-                meta = json.loads(bytes(payload[key].tobytes()).decode("utf-8"))
-                continue
-            section, _, remainder = key.partition("/")
-            if section != "module":
-                continue  # optimizer moments / best snapshots are not served
-            module_name, _, param_name = remainder.partition("/")
-            module_states.setdefault(module_name, {})[param_name] = payload[key]
-    return module_states, meta
 
 
 def _extract_encoder_state(
@@ -135,7 +117,7 @@ def load_encoder(
     ``module`` pins the checkpoint section to search; by default every
     section is tried, preferring one literally named ``encoder``.
     """
-    module_states, meta = _read_checkpoint(path)
+    sections, meta = read_checkpoint(path)
     if spec is None:
         embedded = meta.get("encoder_spec")
         if not embedded:
@@ -145,7 +127,8 @@ def load_encoder(
         spec = EncoderSpec.from_dict(embedded)
     encoder = spec.build()
     expected = frozenset(name for name, _ in encoder.named_parameters())
-    encoder.load_state_dict(_extract_encoder_state(module_states, expected, module))
+    # Optimizer moments and best snapshots are not served.
+    encoder.load_state_dict(_extract_encoder_state(sections["module"], expected, module))
     return encoder, meta
 
 
@@ -156,16 +139,8 @@ def save_encoder(
     meta: Optional[Dict[str, object]] = None,
 ) -> Path:
     """Write a standalone serving checkpoint (atomic, spec embedded)."""
-    arrays = {
-        f"module/encoder/{name}": array
-        for name, array in encoder.state_dict().items()
-    }
-    payload = dict(meta or {})
-    payload["encoder_spec"] = spec.to_dict()
-    arrays[_META_KEY] = np.frombuffer(
-        json.dumps(payload).encode("utf-8"), dtype=np.uint8
-    )
-    return atomic_savez(path, **arrays)
+    payload = dict(meta or {}, encoder_spec=spec.to_dict())
+    return write_checkpoint(path, {"module": {"encoder": encoder.state_dict()}}, payload)
 
 
 @dataclass

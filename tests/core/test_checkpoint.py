@@ -1,9 +1,13 @@
 """Tests for GCMAE checkpointing."""
 
+import re
+
 import numpy as np
+import pytest
 
 from repro.core import GCMAE, GCMAEConfig, load_gcmae, save_gcmae
 from repro.graph.generators import CitationGraphSpec, make_citation_graph
+from repro.serve import EncoderSpec, save_encoder
 
 GRAPH = make_citation_graph(CitationGraphSpec(80, 24, 3), seed=0)
 TINY = GCMAEConfig(hidden_dim=16, embed_dim=16, epochs=2, projector_hidden=8)
@@ -53,3 +57,18 @@ class TestCheckpoint:
         trained_emb = restored.embed(GRAPH.adjacency, GRAPH.features)
         fresh_emb = fresh.embed(GRAPH.adjacency, GRAPH.features)
         assert not np.allclose(trained_emb, fresh_emb)
+
+    def test_flat_layout_of_earlier_versions_is_refused(self, tmp_path):
+        # Before the one checkpoint format, save_gcmae wrote the parameters
+        # at the archive's top level; no reader for that layout is kept.
+        model = GCMAE(GRAPH.num_features, TINY, rng=np.random.default_rng(0))
+        path = tmp_path / "flat.npz"
+        np.savez(path, __num_features__=np.array([GRAPH.num_features]), **model.state_dict())
+        with pytest.raises(KeyError, match=re.escape(str(path))):
+            load_gcmae(path)
+
+    def test_a_serving_checkpoint_is_refused(self, tmp_path):
+        spec = EncoderSpec(in_features=GRAPH.num_features, hidden_features=8, out_features=8)
+        path = save_encoder(tmp_path / "encoder.npz", spec.build(), spec)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_gcmae(path)

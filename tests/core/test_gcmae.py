@@ -7,6 +7,7 @@ from repro.core import GCMAE, GCMAEConfig, GCMAEMethod, train_gcmae
 from repro.core.variants import ENCODER_VARIANTS, fit_encoder_variant
 from repro.graph.datasets import load_graph_dataset
 from repro.graph.generators import CitationGraphSpec, add_planted_splits, make_citation_graph
+from repro.obs import LambdaHook
 
 TINY = GCMAEConfig(hidden_dim=16, embed_dim=16, epochs=3, projector_hidden=8)
 
@@ -123,9 +124,10 @@ class TestTrainer:
         assert np.isfinite(result.loss_history).all()
 
     def test_epoch_callback_invoked(self, graph):
-        calls = []
-        train_gcmae(graph, TINY, seed=0, epoch_callback=lambda e, m: calls.append(e))
-        assert calls == list(range(TINY.epochs))
+        events = []
+        result = train_gcmae(graph, TINY, seed=0, hooks=(LambdaHook(events.append),))
+        assert [event.epoch for event in events] == list(range(TINY.epochs))
+        assert all(event.model is result.model for event in events)
 
 
 class TestGCMAEMethod:

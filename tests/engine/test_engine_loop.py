@@ -1,5 +1,7 @@
 """Unit tests for :class:`repro.engine.TrainLoop` on a toy quadratic method."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -114,7 +116,9 @@ def test_checkpoint_interval_and_atomicity(tmp_path):
     loop = TrainLoop(epochs=5, checkpoint_dir=str(tmp_path), checkpoint_every=2)
     loop.run(_ToyMethod(), None, seed=0)
     files = sorted(p.name for p in tmp_path.iterdir())
-    assert files == ["toy-data-seed0.npz"]  # overwritten in place, no .tmp debris
+    assert len(files) == 1  # overwritten in place, no .tmp debris
+    # <method>-<data>-seed<seed>-<digest of the run's config>.npz
+    assert re.fullmatch(r"toy-data-seed0-[0-9a-f]{10}\.npz", files[0])
 
 
 def test_interrupted_resume_matches_straight_run(tmp_path):
@@ -128,6 +132,27 @@ def test_interrupted_resume_matches_straight_run(tmp_path):
 
     assert resumed.resumed_from == 4
     assert resumed.loss_history == reference.loss_history
+    assert np.array_equal(
+        resumed.state.modules["model"].weight.data,
+        reference.state.modules["model"].weight.data,
+    )
+
+
+def test_resume_keeps_the_best_snapshot(tmp_path):
+    # The best-weight snapshot rides in the checkpoint's best/ section; a run
+    # resumed after it was taken must still restore it at the end.
+    stopping = EarlyStopping(patience=3, monitor="metric", mode="max", restore_best=True)
+    metrics = [0.1, 0.5, 0.3, 0.2, 0.25, 0.1, 0.1, 0.1]
+    reference = TrainLoop(epochs=8, early_stopping=stopping).run(
+        _ToyMethod(noisy=True, metrics=metrics), None, seed=3
+    )
+    ckpt = dict(early_stopping=stopping, checkpoint_dir=str(tmp_path))
+    TrainLoop(epochs=3, **ckpt).run(_ToyMethod(noisy=True, metrics=metrics), None, seed=3)
+    resumed = TrainLoop(epochs=8, resume=True, **ckpt).run(
+        _ToyMethod(noisy=True, metrics=metrics), None, seed=3
+    )
+    assert resumed.resumed_from == 3
+    assert resumed.stopped_early and resumed.epochs_run == reference.epochs_run == 5
     assert np.array_equal(
         resumed.state.modules["model"].weight.data,
         reference.state.modules["model"].weight.data,

@@ -72,3 +72,21 @@ def test_resume_skips_completed_run(graph, tmp_path):
     assert resumed.loss_history == done.loss_history
     for name, weight in done.model.state_dict().items():
         assert np.array_equal(weight, resumed.model.state_dict()[name]), name
+
+
+def test_configs_do_not_share_a_checkpoint(graph, tmp_path):
+    # Table 10's removals all train under the engine name GCMAE.  Under a
+    # resume policy, a removal must not take the full model's finished run,
+    # and a variant of another width must not fail on the full model's weights.
+    full = _config(6)
+    variants = [full.ablated("contrastive"), full.with_overrides(hidden_dim=16, embed_dim=16)]
+    with engine.checkpointing(tmp_path, resume=True):
+        train_gcmae(graph, full, seed=SEED)
+        resumed = [train_gcmae(graph, config, seed=SEED) for config in variants]
+    assert len(list(tmp_path.glob("*.npz"))) == 3
+    for config, result in zip(variants, resumed):
+        reference = train_gcmae(graph, config, seed=SEED)
+        assert result.loss_history == reference.loss_history
+        for name, weight in reference.model.state_dict().items():
+            assert np.array_equal(weight, result.model.state_dict()[name]), name
+

@@ -6,7 +6,6 @@ from repro.nn import Tensor
 from repro.nn.layers import Linear
 from repro.nn.optim import Adam
 from repro.obs import (
-    CallbackHook,
     EpochEvent,
     EpochHook,
     LambdaHook,
@@ -116,14 +115,6 @@ class TestGradientNorms:
 
 
 class TestShims:
-    def test_callback_hook_preserves_legacy_signature(self):
-        seen = []
-        hook = CallbackHook(lambda epoch, model: seen.append((epoch, model)))
-        sentinel = object()
-        hook.on_epoch(EpochEvent(method="X", epoch=7, loss=0.0, model=sentinel))
-        assert seen == [(7, sentinel)]
-        assert hook.wants_gradients is False
-
     def test_lambda_hook(self):
         seen = []
         hook = LambdaHook(seen.append, wants_gradients=True)

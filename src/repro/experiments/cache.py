@@ -78,12 +78,14 @@ def _load_entry(path: Path) -> Optional[EmbeddingResult]:
     if not path.exists():
         return None
     try:
-        payload = np.load(path)
-        return EmbeddingResult(
-            embeddings=payload["embeddings"],
-            train_seconds=float(payload["train_seconds"]),
-            loss_history=list(payload["loss_history"]),
-        )
+        # Our own handle: np.load leaves the file it opens unclosed when a
+        # truncated archive fails to parse.
+        with open(path, "rb") as handle, np.load(handle) as payload:
+            return EmbeddingResult(
+                embeddings=payload["embeddings"],
+                train_seconds=float(payload["train_seconds"]),
+                loss_history=list(payload["loss_history"]),
+            )
     except (OSError, KeyError, ValueError, zipfile.BadZipFile):
         path.unlink(missing_ok=True)  # corrupt entry: recompute
         return None

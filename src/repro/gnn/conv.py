@@ -133,9 +133,11 @@ class GATConv(Module):
         # Per-edge raw scores: (E, heads)
         scores = F.leaky_relu(alpha_src[src] + alpha_dst[dst], self.negative_slope)
 
-        # Softmax over each destination's incoming edges (per head).
-        score_max = np.zeros((n, self.heads))
-        np.maximum.at(score_max, dst, scores.data)
+        # Softmax over each destination's incoming edges (per head), shifted
+        # by the destination's top score clamped at 0.  The shift is a
+        # constant: no gradient flows through it.
+        top = F.segment_max(scores.detach(), dst, n).data
+        score_max = np.maximum(np.zeros((n, self.heads)), top)
         shifted = scores - Tensor(score_max[dst])
         exp_scores = shifted.exp()
         denom = F.segment_sum(exp_scores, dst, n)
@@ -179,9 +181,17 @@ class GINConv(Module):
 
 
 def _self_loop_edges(adjacency: sp.spmatrix):
-    """(src, dst) arrays of the adjacency with self loops, for GAT attention."""
+    """(src, dst) arrays of the adjacency with self loops, for GAT attention.
+
+    Read-only int64, so the segment ops and gathers over them find their
+    memoized incidence matrices (:func:`repro.graph.sparse.cached_incidence`)
+    instead of rebuilding them every forward.
+    """
     coo = sp.coo_matrix(add_self_loops(adjacency))
-    return coo.row, coo.col
+    edges = (coo.row.astype(np.int64), coo.col.astype(np.int64))
+    for ids in edges:
+        ids.flags.writeable = False
+    return edges
 
 
 def structure_operand(conv_type: str, adjacency: sp.csr_matrix) -> sp.csr_matrix:

@@ -42,8 +42,13 @@ def save_graph(graph: Graph, path: Union[str, Path]) -> Path:
 
 
 def load_graph(path: Union[str, Path]) -> Graph:
-    """Restore a :class:`Graph` saved by :func:`save_graph`."""
-    with np.load(Path(path)) as payload:
+    """Restore a :class:`Graph` saved by :func:`save_graph`.
+
+    A damaged file raises :class:`zipfile.BadZipFile` and leaves no handle
+    open: the file is opened here, because ``np.load`` does not close its
+    own handle when a truncated archive fails to parse.
+    """
+    with open(path, "rb") as handle, np.load(handle) as payload:
         adjacency = sp.csr_matrix(
             (payload["data"], payload["indices"], payload["indptr"]),
             shape=tuple(payload["shape"]),
@@ -83,7 +88,7 @@ def load_graph_dataset_dir(directory: Union[str, Path]) -> GraphDataset:
     meta_path = directory / "meta.npz"
     if not meta_path.exists():
         raise FileNotFoundError(f"no meta.npz under {directory}")
-    with np.load(meta_path) as meta:
+    with open(meta_path, "rb") as handle, np.load(handle) as meta:
         labels = meta["labels"]
         name = bytes(meta["name"]).decode("utf-8")
     graphs = [

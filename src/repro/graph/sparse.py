@@ -9,8 +9,10 @@ forward needs a structure operand derived from the adjacency, and every
 * :func:`memoized_on_matrix` caches derived matrices (normalised operands,
   CSR transposes, edge arrays) keyed on the *identity* of the source
   adjacency, with weakref-based eviction, so one adjacency trained for many
-  epochs is normalised exactly once.  :class:`cache_disabled` restores the
-  build-every-call behaviour for benchmarking.
+  epochs is normalised exactly once.  The incidence matrix of a read-only
+  index array (:func:`cached_incidence`) is cached the same way, keyed on
+  the array.  :class:`cache_disabled` restores the build-every-call
+  behaviour for benchmarking.
 * Constructors that provably produce symmetric matrices tag their result
   (:func:`mark_symmetric`), and :func:`cached_transpose` returns a tagged
   matrix *itself* instead of materialising a transpose: a canonical-form
@@ -24,6 +26,7 @@ up-cast.
 
 from __future__ import annotations
 
+import functools
 import threading
 import weakref
 from typing import Callable, Dict, Hashable, Optional, Tuple
@@ -195,6 +198,69 @@ def cached_transpose(matrix: sp.spmatrix) -> sp.csr_matrix:
         return matrix
     return memoized_on_matrix(
         matrix, "transpose-csr", lambda: to_csr(matrix.T, dtype=matrix.dtype)
+    )
+
+
+class Incidence:
+    """The 0/1 incidence of an integer index array; see :func:`cached_incidence`.
+
+    ``distinct`` needs only the count of each id, so a gather whose ids
+    are distinct (its backward assigns) never pays for the CSR
+    constructor: ``matrix`` is built on first use.  Nothing here refers
+    to ``ids`` itself, which would keep a memoized array alive.
+    """
+
+    def __init__(self, ids: np.ndarray, num_rows: int, dtype) -> None:
+        flat = ids.reshape(-1).astype(np.int64, copy=False)
+        negative = flat.size > 0 and int(flat.min()) < 0
+        rows = np.where(flat < 0, flat + num_rows, flat) if negative else flat
+        self._counts = np.bincount(rows, minlength=num_rows)
+        # The positions stably sorted by id: each id's run, in position order.
+        self.order = np.argsort(rows, kind="stable")
+        self._dtype = dtype
+        # Every id is non-negative and occurs at most once.
+        self.distinct = flat.size == 0 or (not negative and int(self._counts.max()) <= 1)
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        return sp.csr_matrix(
+            (
+                np.ones(self.order.size, dtype=self._dtype),
+                self.order,
+                np.concatenate(([0], np.cumsum(self._counts))),
+            ),
+            shape=(self._counts.size, self.order.size),
+        )
+
+    def sum_rows(self, values: np.ndarray) -> np.ndarray:
+        """Rows of ``values`` summed per id: ``matrix @ values`` on the leading axis."""
+        flat = values.reshape(values.shape[0], int(np.prod(values.shape[1:])))
+        return (self.matrix @ flat).reshape((self.matrix.shape[0],) + values.shape[1:])
+
+
+def cached_incidence(ids: np.ndarray, num_rows: int, dtype) -> Incidence:
+    """The ``num_rows x ids.size`` 0/1 incidence of an integer array.
+
+    Row ``s`` of ``matrix`` lists, in ascending order, the flat positions
+    ``p`` with ``ids.flat[p] == s``; negative ids wrap, as in numpy
+    indexing.  So :meth:`Incidence.sum_rows` (``matrix @ values``) sums
+    the rows of ``values`` that share an id in position order, bit for bit
+    what ``np.add.at`` computes: scipy's CSR product adds each row's
+    entries in stored order.  ``order`` (the matrix's ``indices``) groups
+    the positions by id for a sorted ``reduceat``.  The data has
+    ``dtype``, the dtype of the values it will multiply; wider 1.0 entries
+    would widen the product.
+
+    A read-only ``ids`` is memoized on its identity, so an edge array
+    pays for its incidence once; its values must not change while it
+    lives.  A writeable one may change between calls and is built afresh
+    each time.
+    """
+    dtype = np.dtype(dtype)
+    if ids.flags.writeable:
+        return Incidence(ids, num_rows, dtype)
+    return memoized_on_matrix(
+        ids, ("incidence", num_rows, dtype.str), lambda: Incidence(ids, num_rows, dtype)
     )
 
 

@@ -110,9 +110,10 @@ def _segment_ids_and_counts(segment_ids: np.ndarray, num_segments: int):
 
     Sorted ids are the block-diagonal batching case
     (:class:`repro.graph.batch.GraphBatch` builds ``node_to_graph`` in
-    ascending order), where the reductions below can use contiguous
-    ``np.*.reduceat`` slices instead of scattered ``np.*.at`` updates —
-    the difference between one vectorised pass and N tiny ones.
+    ascending order), where the reductions below use contiguous
+    ``np.*.reduceat`` slices.  Unsorted ids (GAT's destinations) go through
+    their incidence matrix (:func:`repro.graph.sparse.cached_incidence`),
+    memoized when the id array is read-only.
     """
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     if segment_ids.size:
@@ -149,16 +150,20 @@ def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
     """Sum rows of ``values`` grouped by ``segment_ids`` (graph readout).
 
     Sorted ``segment_ids`` (block-diagonal batches) take a vectorised
-    ``np.add.reduceat`` path; unsorted ids (e.g. GAT's per-destination
-    softmax) fall back to ``np.add.at``.  Backward is a gather either way.
+    ``np.add.reduceat`` path.  Unsorted ids (e.g. GAT's per-destination
+    softmax) multiply by their 0/1 incidence matrix, which adds each
+    segment's rows in index order, bit for bit as ``np.add.at`` would.
+    Backward is a gather either way.
     """
     values = ensure_tensor(values)
     segment_ids, counts, is_sorted = _segment_ids_and_counts(segment_ids, num_segments)
     if is_sorted:
         out = _segment_reduce(np.add, values.data, counts, 0.0)
     else:
-        out = np.zeros((num_segments,) + values.data.shape[1:], dtype=values.data.dtype)
-        np.add.at(out, segment_ids, values.data)
+        incidence = graph_sparse.cached_incidence(
+            segment_ids, num_segments, values.data.dtype
+        )
+        out = incidence.sum_rows(values.data)
 
     def backward(grad: np.ndarray) -> None:
         if values.requires_grad:
@@ -174,7 +179,7 @@ def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> 
     A single fused autograd node: the division by segment size is folded
     into both the forward buffer and the backward gather, instead of the
     separate sum and scale nodes the composite formulation builds.  Empty
-    segments yield zero rows.
+    segments yield zero rows.  The sum runs as in :func:`segment_sum`.
     """
     values = ensure_tensor(values)
     segment_ids, counts, is_sorted = _segment_ids_and_counts(segment_ids, num_segments)
@@ -182,8 +187,10 @@ def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> 
     if is_sorted:
         out = _segment_reduce(np.add, values.data, counts, 0.0)
     else:
-        out = np.zeros((num_segments,) + values.data.shape[1:], dtype=values.data.dtype)
-        np.add.at(out, segment_ids, values.data)
+        incidence = graph_sparse.cached_incidence(
+            segment_ids, num_segments, values.data.dtype
+        )
+        out = incidence.sum_rows(values.data)
     out *= inv_counts.reshape((num_segments,) + (1,) * (out.ndim - 1))
 
     def backward(grad: np.ndarray) -> None:
@@ -201,17 +208,21 @@ def segment_max(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
     """Row-wise max of ``values`` grouped by ``segment_ids``.
 
     Empty segments yield ``-inf`` rows.  Gradient is routed to every
-    element attaining its segment's maximum.
+    element attaining its segment's maximum.  Unsorted ids are first
+    grouped by a stable sort (their incidence's ``order``), so the same
+    ``np.maximum.reduceat`` pass serves both; a max does not depend on
+    the order it visits a segment in.
     """
     values = ensure_tensor(values)
     segment_ids, counts, is_sorted = _segment_ids_and_counts(segment_ids, num_segments)
     if is_sorted:
         out = _segment_reduce(np.maximum, values.data, counts, -np.inf)
     else:
-        out = np.full(
-            (num_segments,) + values.data.shape[1:], -np.inf, dtype=values.data.dtype
+        incidence = graph_sparse.cached_incidence(
+            segment_ids, num_segments, values.data.dtype
         )
-        np.maximum.at(out, segment_ids, values.data)
+        grouped = values.data[incidence.order]
+        out = _segment_reduce(np.maximum, grouped, counts, -np.inf)
 
     def backward(grad: np.ndarray) -> None:
         if not values.requires_grad:

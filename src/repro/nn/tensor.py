@@ -25,6 +25,9 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+# Module-object import, as in repro.nn.functional: repro.graph and repro.nn
+# import each other.
+from ..graph import sparse as graph_sparse
 from .arena import matmul_into
 from .dtype import as_float_array
 from .profiler import profiled_op
@@ -115,20 +118,14 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 
 
 def _index_selects_once(index) -> bool:
-    """True when ``index`` provably selects each element at most once.
+    """True when a non-integer-array ``index`` selects each element at most once.
 
     Such indices admit plain assignment in the ``__getitem__`` backward
     instead of ``np.add.at``; unknown shapes conservatively return False.
+    Integer arrays are answered by their incidence matrix instead.
     """
     if isinstance(index, np.ndarray):
-        if index.dtype == np.bool_:
-            return True
-        if index.ndim == 1 and index.dtype.kind in "iu":
-            # Mixed-sign indices can alias (-1 vs n-1), so require one sign.
-            return (index.size == 0 or index.min() >= 0) and (
-                np.unique(index).size == index.size
-            )
-        return False
+        return index.dtype == np.bool_
     if isinstance(index, tuple):
         return all(
             isinstance(part, (int, np.integer, slice, type(Ellipsis), type(None)))
@@ -476,12 +473,22 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if not self.requires_grad:
                 return
+            gather = isinstance(index, np.ndarray) and index.dtype.kind in "iu"
+            if gather:
+                incidence = graph_sparse.cached_incidence(index, len(self.data), self.dtype)
+                if not incidence.distinct:
+                    # Rows gathered more than once (or through a negative
+                    # index) sum their gradients.  The incidence product
+                    # adds them in index order, bit for bit as np.add.at.
+                    rows = grad.reshape((index.size,) + self.shape[1:])
+                    self._accumulate(incidence.sum_rows(rows))
+                    return
             full = np.zeros_like(self.data)
-            if _index_selects_once(index):
+            if gather or _index_selects_once(index):
                 full[index] = grad
             else:
-                # Fancy indices may repeat an element; only then is the
-                # (much slower) unbuffered scatter-add required.
+                # Multi-axis fancy indices (a tuple holding arrays, such as
+                # ``logp[rows, labels]``): numpy's own scatter-add.
                 np.add.at(full, index, grad)
             self._accumulate(full)
 

@@ -1,5 +1,8 @@
 """Tests for the experiment harness: results, profiles, cache, runners."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -168,6 +171,22 @@ class TestCache:
         cached_fit("x", lambda: EmbeddingResult(np.ones((2, 2)), 1.0))
         assert clear_cache() == 1
         assert clear_cache() == 0
+
+    def test_truncated_entry_misses_and_closes_its_file(self, tmp_path, monkeypatch):
+        from repro.experiments.cache import _load_entry
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        cached_fit("t", lambda: EmbeddingResult(np.ones((40, 8)), 1.0, [0.5]))
+        (path,) = tmp_path.glob("*.npz")
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _load_entry(path) is None
+            gc.collect()
+        assert not path.exists()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
 
 class TestTable1Summary:

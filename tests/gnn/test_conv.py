@@ -7,6 +7,8 @@ from repro.gnn import GATConv, GCNConv, GINConv, SAGEConv, structure_operand
 from repro.graph.sparse import adjacency_from_edges, normalized_adjacency
 from repro.nn import Tensor
 
+from tests.gradcheck import check_gradients
+
 N = 8
 ADJ = adjacency_from_edges(
     np.array([(i, (i + 1) % N) for i in range(N)] + [(0, 4)]), N
@@ -70,6 +72,39 @@ class TestGATConv:
         assert conv.attn_src.grad is not None
         assert conv.attn_dst.grad is not None
         assert conv.weight.grad is not None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("concat", [True, False])
+    def test_gradient_values(self, concat, dtype):
+        conv = GATConv(5, 3, heads=2, concat=concat, rng=np.random.default_rng(0))
+
+        def forward(x, weight, attn_src, attn_dst, bias):
+            conv.weight, conv.attn_src, conv.attn_dst = weight, attn_src, attn_dst
+            conv.bias = bias
+            return conv(ADJ, x)
+
+        rng = np.random.default_rng(1)
+        check_gradients(
+            forward,
+            [
+                X,
+                conv.weight.data,
+                conv.attn_src.data,
+                conv.attn_dst.data,
+                rng.normal(size=conv.bias.shape),
+            ],
+            dtype=dtype,
+        )
+
+    def test_empty_graph(self):
+        import scipy.sparse as sp
+
+        conv = GATConv(5, 3, heads=2, rng=np.random.default_rng(0))
+        x = Tensor(np.zeros((0, 5)), requires_grad=True)
+        out = conv(sp.csr_matrix((0, 0)), x)
+        assert out.shape == (0, 6)
+        out.sum().backward()
+        assert x.grad.shape == (0, 5)
 
     def test_invalid_heads(self):
         with pytest.raises(ValueError):

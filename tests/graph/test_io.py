@@ -1,5 +1,9 @@
 """Tests for graph persistence."""
 
+import gc
+import warnings
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -57,3 +61,16 @@ class TestDatasetRoundtrip:
     def test_missing_meta(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_graph_dataset_dir(tmp_path)
+
+
+class TestDamagedFile:
+    def test_truncated_graph_raises_and_closes_its_file(self, graph, tmp_path):
+        path = save_graph(graph, tmp_path / "g.npz")
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(zipfile.BadZipFile):
+                load_graph(path)
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]

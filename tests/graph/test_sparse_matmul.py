@@ -121,6 +121,19 @@ class TestDualDtypeGradcheck:
             check_gradients(lambda t, op=op: op(t, ids, 3), [values], dtype=dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_segment_ops_unsorted_ids(self, dtype):
+        # Unsorted ids take the incidence path; segment 3 is empty.
+        ids = np.array([2, 0, 4, 2, 1, 0, 4, 2], dtype=np.int64)
+        values = RNG.normal(size=(8, 3))
+        for op in (F.segment_sum, F.segment_mean):
+            check_gradients(lambda t, op=op: op(t, ids, 5), [values], dtype=dtype)
+        # Max: no empty segment (-inf has no finite difference), and
+        # well-separated values keep each segment's argmax stable.
+        ids = np.array([2, 0, 1, 2, 1, 0, 2], dtype=np.int64)
+        values = RNG.permutation(np.linspace(-1.0, 1.0, 21)).reshape(7, 3)
+        check_gradients(lambda t: F.segment_max(t, ids, 3), [values], dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_dtype_follows_operands(self, dtype):
         from repro.nn.dtype import dtype_policy
 

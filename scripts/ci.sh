@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Local mirror of .github/workflows/ci.yml: lint, tier-1 tests, benchmark
-# self-test, examples, perf smoke, serving smoke, bench-history regression
-# check, telemetry sample run.
+# Local mirror of .github/workflows/ci.yml: lint, tier-1 tests, goldens
+# under one BLAS thread, benchmark self-test, examples, perf smoke, serving
+# smoke, bench-history regression check, telemetry sample run.
 #
 # Usage: scripts/ci.sh [--report-only]
 #   --report-only   run the perf benchmark without enforcing min_speedup
@@ -29,6 +29,15 @@ fi
 
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q
+
+echo "== goldens under one BLAS thread =="
+# Bit-identity holds per OpenBLAS thread count: a trained model's embedding
+# hash differs between one thread and two.  The golden curves, hashes and
+# tables must hold at one thread as well as at the default.
+OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest -q \
+    tests/engine/test_golden_equivalence.py \
+    tests/experiments/test_runners.py \
+    tests/spec/test_equivalence.py
 
 echo "== benchmark self-test (perfbench: every workload at its smallest size) =="
 # Tier-1 collects only tests/; this stage fails a change that renames or

@@ -22,16 +22,15 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.base import EmbeddingResult, Stopwatch
+from ..core.base import Stopwatch
 from ..core.losses import sample_nonedges
-from ..engine import Method, TrainState
+from ..engine import EmbeddingResult, Method, TrainState
 from ..eval.clustering import KMeans
 from ..gnn.encoder import GNNEncoder
 from ..graph.data import Graph
 from ..nn import Adam, Linear, MLP, Tensor, functional as F, no_grad
 from ..obs.hooks import emit_epoch
 from ..registry import register_method
-from ._common import engine_fit
 
 
 def _smoothed_features(graph: Graph, power: int) -> np.ndarray:
@@ -164,10 +163,6 @@ class GCVGE(Method):
             mu, _ = self._encode(state, graph)
         return mu.data.copy()
 
-    def fit(self, graph: Graph, seed: int = 0) -> EmbeddingResult:
-        result, _ = engine_fit(self, graph, seed=seed, epochs=self.epochs)
-        return result
-
 
 @register_method(
     "SCGC",
@@ -246,10 +241,6 @@ class SCGC(Method):
                 + F.l2_normalize(encoder_b(Tensor(smoothed)))
             ).data / 2.0
         return embeddings.copy()
-
-    def fit(self, graph: Graph, seed: int = 0) -> EmbeddingResult:
-        result, _ = engine_fit(self, graph, seed=seed, epochs=self.epochs)
-        return result
 
 
 @register_method("GCC", tags=("clustering",), order=220)

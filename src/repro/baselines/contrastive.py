@@ -14,8 +14,8 @@ substrate (see DESIGN.md for the substitution argument):
              loss avoids the ``N x N`` similarity matrix, which is why it is
              the fastest method in the paper's Table 9.
 
-Training runs through :class:`repro.engine.TrainLoop`: each class provides
-``build``/``loss_step``/``embed`` and keeps its public ``fit`` signature.
+Each class provides ``build``/``loss_step``/``embed`` and trains through
+:meth:`repro.engine.Method.fit`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.base import EmbeddingResult
 from ..core.losses import info_nce
 from ..engine import Method, TrainState
 from ..gnn.encoder import GNNEncoder
@@ -39,7 +38,6 @@ from ..nn import Adam, MLP, Tensor, functional as F, no_grad
 from ..nn.init import xavier_uniform
 from ..nn.module import Module, Parameter
 from ..registry import register_method
-from ._common import engine_fit
 
 
 class _BilinearDiscriminator(Module):
@@ -153,10 +151,6 @@ class DGI(Method):
         with no_grad():
             return encoder(graph.adjacency, Tensor(graph.features)).data.copy()
 
-    def fit(self, graph: Graph, seed: int = 0) -> EmbeddingResult:
-        result, _ = engine_fit(self, graph, seed=seed, epochs=self.epochs)
-        return result
-
 
 @register_method(
     "GRACE",
@@ -261,10 +255,6 @@ class GRACE(Method):
         with no_grad():
             return encoder(graph.adjacency, Tensor(graph.features)).data.copy()
 
-    def fit(self, graph: Graph, seed: int = 0) -> EmbeddingResult:
-        result, _ = engine_fit(self, graph, seed=seed, epochs=self.epochs)
-        return result
-
 
 @register_method(
     "MVGRL",
@@ -296,6 +286,11 @@ class MVGRL(Method):
         self.max_nodes = max_nodes
 
     def build(self, graph: Graph, rng: np.random.Generator) -> TrainState:
+        if graph.num_nodes > self.max_nodes:
+            raise MemoryError(
+                f"MVGRL materialises a dense {graph.num_nodes}^2 diffusion matrix; "
+                f"refusing above {self.max_nodes} nodes (the paper reports OOM on Reddit)"
+            )
         encoder_a = GNNEncoder(
             graph.num_features,
             self.hidden_dim,
@@ -368,15 +363,6 @@ class MVGRL(Method):
             return (
                 encoder_a(graph.adjacency, Tensor(x)) + encoder_d(diffusion, Tensor(x))
             ).data.copy()
-
-    def fit(self, graph: Graph, seed: int = 0) -> EmbeddingResult:
-        if graph.num_nodes > self.max_nodes:
-            raise MemoryError(
-                f"MVGRL materialises a dense {graph.num_nodes}^2 diffusion matrix; "
-                f"refusing above {self.max_nodes} nodes (the paper reports OOM on Reddit)"
-            )
-        result, _ = engine_fit(self, graph, seed=seed, epochs=self.epochs)
-        return result
 
 
 @register_method(
@@ -459,7 +445,3 @@ class CCASSG(Method):
         encoder.eval()
         with no_grad():
             return encoder(graph.adjacency, Tensor(graph.features)).data.copy()
-
-    def fit(self, graph: Graph, seed: int = 0) -> EmbeddingResult:
-        result, _ = engine_fit(self, graph, seed=seed, epochs=self.epochs)
-        return result

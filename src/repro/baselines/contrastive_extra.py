@@ -21,7 +21,6 @@ from typing import Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from ..core.base import EmbeddingResult
 from ..core.losses import info_nce
 from ..engine import Method, TrainState
 from ..gnn.encoder import GNNEncoder
@@ -31,7 +30,6 @@ from ..graph.sparse import to_csr
 from ..nn import Adam, MLP, Tensor, functional as F, no_grad
 from ..nn.module import Module
 from ..registry import register_method
-from ._common import engine_fit
 
 
 @register_method(
@@ -163,10 +161,6 @@ class BGRL(Method):
         with no_grad():
             return online(graph.adjacency, Tensor(graph.features)).data.copy()
 
-    def fit(self, graph: Graph, seed: int = 0) -> EmbeddingResult:
-        result, _ = engine_fit(self, graph, seed=seed, epochs=self.epochs)
-        return result
-
 
 def degree_centrality_weights(adjacency: sp.csr_matrix) -> np.ndarray:
     """Per-edge importance: mean log-degree centrality of the endpoints."""
@@ -290,7 +284,3 @@ class GCA(Method):
         encoder.eval()
         with no_grad():
             return encoder(graph.adjacency, Tensor(graph.features)).data.copy()
-
-    def fit(self, graph: Graph, seed: int = 0) -> EmbeddingResult:
-        result, _ = engine_fit(self, graph, seed=seed, epochs=self.epochs)
-        return result

@@ -29,8 +29,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from ..core.base import EmbeddingResult
-from ..engine import Method, TrainState
+from ..engine import EmbeddingResult, Method, TrainState
 from ..gnn.encoder import GNNEncoder
 from ..gnn.readout import batch_readout
 from ..graph.augment import (
@@ -45,7 +44,6 @@ from ..nn import Adam, MLP, Tensor, functional as F, no_grad
 from ..nn.init import xavier_uniform
 from ..nn.module import Module, Parameter
 from ..registry import register_method
-from ._common import engine_fit
 
 
 def _nt_xent(a: Tensor, b: Tensor, temperature: float) -> Tensor:
@@ -148,10 +146,6 @@ class _GraphContrastiveBase(Method):
                 nodes = encoder.forward_batch(batch)
                 outputs.append(batch_readout(nodes, batch, self.readout).data)
         return np.concatenate(outputs, axis=0)
-
-    def fit_graphs(self, dataset: GraphDataset, seed: int = 0) -> EmbeddingResult:
-        result, _ = engine_fit(self, dataset, seed=seed, epochs=self.epochs)
-        return result
 
 
 @register_method(

@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.base import EmbeddingResult
 from ..core.losses import sce_loss
 from ..engine import Method, TrainState
 from ..gnn.encoder import GNNEncoder, _build_conv
@@ -25,7 +24,6 @@ from ..graph.augment import mask_node_features
 from ..graph.data import Graph
 from ..nn import Adam, MLP, Tensor, functional as F, no_grad
 from ..registry import register_method
-from ._common import engine_fit
 
 
 @register_method(
@@ -146,7 +144,3 @@ class GraphMAE2(Method):
         encoder.eval()
         with no_grad():
             return encoder(graph.adjacency, Tensor(graph.features)).data.copy()
-
-    def fit(self, graph: Graph, seed: int = 0) -> EmbeddingResult:
-        result, _ = engine_fit(self, graph, seed=seed, epochs=self.epochs)
-        return result

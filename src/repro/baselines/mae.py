@@ -22,9 +22,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..core.base import EmbeddingResult
 from ..core.losses import sample_nonedges, sce_loss
-from ..engine import Method, TrainState
+from ..engine import EmbeddingResult, Method, TrainState
 from ..gnn.conv import GATConv
 from ..gnn.encoder import GNNEncoder
 from ..graph.augment import mask_node_features
@@ -32,7 +31,6 @@ from ..graph.data import Graph
 from ..graph.sparse import adjacency_from_edges
 from ..nn import Adam, Linear, MLP, Tensor, concatenate, functional as F, no_grad
 from ..registry import register_method
-from ._common import engine_fit
 
 
 @register_method(
@@ -124,10 +122,6 @@ class GraphMAE(Method):
         encoder.eval()
         with no_grad():
             return encoder(graph.adjacency, Tensor(graph.features)).data.copy()
-
-    def fit(self, graph: Graph, seed: int = 0) -> EmbeddingResult:
-        result, _ = engine_fit(self, graph, seed=seed, epochs=self.epochs)
-        return result
 
 
 def _degree_targets(adjacency: sp.csr_matrix) -> np.ndarray:
@@ -236,10 +230,6 @@ class MaskGAE(Method):
         encoder.eval()
         with no_grad():
             return encoder(graph.adjacency, Tensor(graph.features)).data.copy()
-
-    def fit(self, graph: Graph, seed: int = 0) -> EmbeddingResult:
-        result, _ = engine_fit(self, graph, seed=seed, epochs=self.epochs)
-        return result
 
 
 @register_method(
@@ -353,16 +343,10 @@ class S2GAE(Method):
             layer_outputs = encoder.layer_outputs(graph.adjacency, Tensor(graph.features))
             return np.concatenate([h.data for h in layer_outputs], axis=1)
 
-    def fit(self, graph: Graph, seed: int = 0) -> EmbeddingResult:
-        result, _ = engine_fit(self, graph, seed=seed, epochs=self.epochs)
-        return result
-
     def fit_graphs(self, dataset, seed: int = 0) -> EmbeddingResult:
         """Graph-level protocol (Table 7): masked-edge pretraining over
         block-diagonal mini-batches, then mean/max pooling per graph."""
-        method = _S2GAEGraphsMethod(self)
-        result, _ = engine_fit(method, dataset, seed=seed, epochs=self.epochs)
-        return result
+        return _S2GAEGraphsMethod(self).fit(dataset, seed=seed)
 
 
 class _S2GAEGraphsMethod(Method):
@@ -372,6 +356,7 @@ class _S2GAEGraphsMethod(Method):
 
     def __init__(self, owner: S2GAE) -> None:
         self.owner = owner
+        self.epochs = owner.epochs
 
     def build(self, dataset, rng: np.random.Generator) -> TrainState:
         from ..graph.batch import BatchLoader
@@ -535,7 +520,3 @@ class SeeGera(Method):
         with no_grad():
             h = F.relu(backbone(graph.adjacency, Tensor(graph.features)))
             return mu_head(h).data.copy()
-
-    def fit(self, graph: Graph, seed: int = 0) -> EmbeddingResult:
-        result, _ = engine_fit(self, graph, seed=seed, epochs=self.epochs)
-        return result

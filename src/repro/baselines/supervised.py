@@ -6,7 +6,7 @@ the comparison, as in the paper where they are the weakest rows of Table 4.
 The bespoke val-accuracy plateau logic this file used to carry is now the
 generic :class:`repro.engine.EarlyStopping` (``monitor="val_accuracy"``,
 ``mode="max"``, ``restore_best=True``); training runs through
-:class:`repro.engine.TrainLoop` like every other method.
+:meth:`repro.engine.Method.train` like every other method.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..engine import EarlyStopping, Method, TrainLoop, TrainState
+from ..engine import EarlyStopping, Method, TrainState
 from ..eval.metrics import accuracy
 from ..gnn.encoder import GNNEncoder
 from ..graph.data import Graph
@@ -77,6 +77,15 @@ class SupervisedGNN(Method):
         self.heads = heads
         self.name = name if name is not None else conv_type.upper()
 
+    @property
+    def early_stopping(self) -> EarlyStopping:
+        return EarlyStopping(
+            patience=self.patience,
+            monitor="val_accuracy",
+            mode="max",
+            restore_best=True,
+        )
+
     def build(self, graph: Graph, rng: np.random.Generator) -> TrainState:
         model = GNNEncoder(
             in_features=graph.num_features,
@@ -132,16 +141,7 @@ class SupervisedGNN(Method):
         """Train on ``graph.train_mask``, early-stop on val, score on test."""
         if graph.labels is None or graph.train_mask is None:
             raise ValueError("supervised training needs labels and split masks")
-        loop = TrainLoop(
-            self.epochs,
-            early_stopping=EarlyStopping(
-                patience=self.patience,
-                monitor="val_accuracy",
-                mode="max",
-                restore_best=True,
-            ),
-        )
-        outcome = loop.run(self, graph, seed=seed)
+        outcome = self.train(graph, seed=seed)
         model = outcome.state.modules["model"]
         model.eval()
         with no_grad():

@@ -1,6 +1,6 @@
 """GCMAE: the paper's core contribution."""
 
-from .base import EmbeddingResult, GraphSSLMethod, NodeSSLMethod, Stopwatch
+from .base import EmbeddingResult, Stopwatch
 from .checkpoint import load_gcmae, save_gcmae
 from .config import GCMAEConfig
 from .gcmae import GCMAE, LossParts
@@ -10,16 +10,14 @@ from .losses import (
     info_nce,
     sce_loss,
 )
-from .trainer import GCMAEMethod, TrainResult, train_gcmae, train_gcmae_graphs
+from .trainer import GCMAEMethod, TrainResult, train_gcmae
 
 __all__ = [
     "EmbeddingResult",
     "GCMAE",
     "GCMAEConfig",
     "GCMAEMethod",
-    "GraphSSLMethod",
     "LossParts",
-    "NodeSSLMethod",
     "Stopwatch",
     "TrainResult",
     "adjacency_reconstruction_loss",
@@ -29,5 +27,4 @@ __all__ = [
     "info_nce",
     "sce_loss",
     "train_gcmae",
-    "train_gcmae_graphs",
 ]

@@ -1,64 +1,18 @@
-"""The common protocol every SSL method in this repository implements.
+"""Bookkeeping shared by the SSL methods.
 
-The experiment harness (Tables 4-7) is method-agnostic: it calls
-``fit(graph, seed)`` for node-level methods or ``fit_graphs(dataset, seed)``
-for graph-level methods and receives frozen embeddings plus bookkeeping.
+The experiment harness (Tables 4-7) calls ``fit(graph, seed)`` for
+node-level methods or ``fit_graphs(dataset, seed)`` for graph-level ones,
+as :class:`repro.engine.Method` defines them, and receives an
+:class:`~repro.engine.EmbeddingResult`, re-exported here.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Protocol, runtime_checkable
 
-import numpy as np
+from ..engine import EmbeddingResult
 
-from ..graph.data import Graph, GraphDataset
-
-
-@dataclass
-class EmbeddingResult:
-    """Frozen embeddings produced by an SSL method.
-
-    Attributes
-    ----------
-    embeddings:
-        ``(N, d)`` node embeddings (or ``(num_graphs, d)`` for graph-level
-        methods).
-    train_seconds:
-        Wall-clock training time (Table 9).
-    loss_history:
-        Total loss per epoch.
-    extras:
-        Method-specific diagnostics (e.g. GCMAE's per-term loss curves).
-    """
-
-    embeddings: np.ndarray
-    train_seconds: float
-    loss_history: List[float] = field(default_factory=list)
-    extras: Dict[str, object] = field(default_factory=dict)
-
-
-@runtime_checkable
-class NodeSSLMethod(Protocol):
-    """A self-supervised method producing node embeddings for one graph."""
-
-    name: str
-
-    def fit(self, graph: Graph, seed: int = 0) -> EmbeddingResult:
-        """Pretrain on ``graph`` and return frozen node embeddings."""
-        ...
-
-
-@runtime_checkable
-class GraphSSLMethod(Protocol):
-    """A self-supervised method producing per-graph embeddings."""
-
-    name: str
-
-    def fit_graphs(self, dataset: GraphDataset, seed: int = 0) -> EmbeddingResult:
-        """Pretrain on ``dataset`` and return frozen graph embeddings."""
-        ...
+__all__ = ["EmbeddingResult", "Stopwatch"]
 
 
 class Stopwatch:

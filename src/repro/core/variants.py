@@ -18,12 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..engine import Method, TrainLoop, TrainState
+from ..engine import EmbeddingResult, Method, TrainState
 from ..graph.augment import drop_nodes, mask_node_features
 from ..graph.data import Graph
 from ..gnn.encoder import GNNEncoder
 from ..nn import Adam, MLP, Tensor, no_grad
-from .base import EmbeddingResult
 from .config import GCMAEConfig
 from .losses import info_nce
 from .trainer import GCMAEMethod
@@ -39,6 +38,10 @@ class _ContrastiveOnlyMethod(Method):
 
     def __init__(self, config: GCMAEConfig) -> None:
         self.config = config
+
+    @property
+    def epochs(self) -> int:
+        return self.config.epochs
 
     def build(self, graph: Graph, rng: np.random.Generator) -> TrainState:
         config = self.config
@@ -105,12 +108,9 @@ def fit_encoder_variant(
             use_structure_reconstruction=False,
             use_discrimination=False,
         )
-        return GCMAEMethod(mae_config, name="MAE Encoder").fit(graph, seed=seed)
+        return GCMAEMethod(mae_config).fit(graph, seed=seed)
     if variant == "contrastive":
-        method = _ContrastiveOnlyMethod(config)
-        outcome = TrainLoop(config.epochs).run(method, graph, seed=seed)
-        embeddings = method.embed(outcome.state, graph)
-        return EmbeddingResult(embeddings, outcome.train_seconds, outcome.loss_history)
+        return _ContrastiveOnlyMethod(config).fit(graph, seed=seed)
     if variant == "fusion":
         mae_result = fit_encoder_variant(graph, "mae", config, seed)
         con_result = fit_encoder_variant(graph, "contrastive", config, seed)
@@ -121,7 +121,7 @@ def fit_encoder_variant(
             mae_result.loss_history + con_result.loss_history,
         )
     if variant == "shared":
-        return GCMAEMethod(config, name="Shared Encoder").fit(graph, seed=seed)
+        return GCMAEMethod(config).fit(graph, seed=seed)
     raise ValueError(
         f"unknown encoder variant {variant!r}; use one of {ENCODER_VARIANTS}"
     )

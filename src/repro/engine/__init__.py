@@ -4,7 +4,9 @@
 :mod:`repro.obs` and below :mod:`repro.core` / :mod:`repro.baselines`:
 methods implement the :class:`Method` protocol, and :class:`TrainLoop`
 owns the epoch loop, optimizer stepping, telemetry, profiler marks,
-early stopping, and atomic checkpoint/resume.
+early stopping, and atomic checkpoint/resume.  ``Method.fit`` is the one
+run path: it trains through a ``TrainLoop`` and returns an
+:class:`EmbeddingResult`.
 """
 
 from .checkpoint import atomic_savez, load_checkpoint, save_checkpoint
@@ -16,9 +18,10 @@ from .loop import (
     active_checkpoint_policy,
     checkpointing,
 )
-from .method import Method, TrainState
+from .method import EmbeddingResult, Method, TrainState
 
 __all__ = [
+    "EmbeddingResult",
     "Method",
     "TrainState",
     "TrainLoop",

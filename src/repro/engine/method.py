@@ -28,20 +28,49 @@ Lifecycle of ``TrainLoop.run(method, data, seed)``::
 ``data`` is opaque to the engine — a :class:`~repro.graph.data.Graph` for
 node-level methods, a :class:`~repro.graph.data.GraphDataset` for
 graph-level ones.
+
+Every method runs through one path: :meth:`Method.train` builds the
+``TrainLoop`` from the method's own ``epochs`` and ``early_stopping``, and
+:meth:`Method.fit` (``fit_graphs`` for the graph protocol) trains, embeds
+once and returns an :class:`EmbeddingResult`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..nn.module import Module
 from ..nn.optim import Optimizer
 from ..nn.tensor import Tensor
+from ..obs.hooks import EpochHook
 from ..registry.config import ConfigError, config_dict, derive_config_class
+
+if TYPE_CHECKING:
+    from .loop import EarlyStopping, LoopResult
+
+
+@dataclass
+class EmbeddingResult:
+    """Frozen embeddings produced by :meth:`Method.fit`.
+
+    Attributes
+    ----------
+    embeddings:
+        ``(N, d)`` node embeddings (or ``(num_graphs, d)`` for graph-level
+        methods).
+    train_seconds:
+        Wall-clock training time (Table 9); the embed is outside it.
+    loss_history:
+        Total loss per epoch.
+    """
+
+    embeddings: np.ndarray
+    train_seconds: float
+    loss_history: List[float] = field(default_factory=list)
 
 
 @dataclass
@@ -105,11 +134,39 @@ class Method:
     """Base class for engine-trainable methods.
 
     Subclasses must implement :meth:`build`, :meth:`loss_step`, and
-    :meth:`embed`; everything else has a default that matches the common
-    single-full-batch-step-per-epoch loop.
+    :meth:`embed`, and provide ``epochs``; everything else has a default
+    that matches the common single-full-batch-step-per-epoch loop.
     """
 
     name: str = "method"
+    epochs: int
+    early_stopping: Optional[EarlyStopping] = None
+
+    # -- the run path --------------------------------------------------
+    def train(self, data, seed: int = 0, hooks: Sequence[EpochHook] = ()) -> LoopResult:
+        """Train on ``data`` for ``self.epochs`` under ``self.early_stopping``.
+
+        Builds the run's :class:`~repro.engine.loop.TrainLoop`; ``hooks``
+        receive one epoch event each, beside any ambient telemetry.
+        """
+        from .loop import TrainLoop  # imported here: the loop module imports this one
+
+        loop = TrainLoop(self.epochs, early_stopping=self.early_stopping)
+        return loop.run(self, data, seed=seed, hooks=hooks)
+
+    def fit(self, data, seed: int = 0) -> EmbeddingResult:
+        """Train on ``data`` and embed it once with the trained weights.
+
+        ``train_seconds`` covers the loop only; the embed is outside it.
+        """
+        outcome = self.train(data, seed=seed)
+        return EmbeddingResult(
+            self.embed(outcome.state, data), outcome.train_seconds, outcome.loss_history
+        )
+
+    def fit_graphs(self, dataset, seed: int = 0) -> EmbeddingResult:
+        """The graph protocol's name for :meth:`fit` (Table 7)."""
+        return self.fit(dataset, seed=seed)
 
     # -- required ------------------------------------------------------
     def build(self, data, rng: np.random.Generator) -> TrainState:
@@ -132,7 +189,7 @@ class Method:
         raise NotImplementedError
 
     def embed(self, state: TrainState, data) -> np.ndarray:
-        """Frozen embeddings after training (used by ``fit`` wrappers)."""
+        """Frozen embeddings after training (what :meth:`fit` returns)."""
         raise NotImplementedError
 
     # -- optional hooks ------------------------------------------------

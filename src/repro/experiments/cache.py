@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..core.base import EmbeddingResult
+from ..engine import EmbeddingResult
 from ..obs.hooks import emit_counter
 
 _POLL_SECONDS = 0.05

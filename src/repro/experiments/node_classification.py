@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core.base import EmbeddingResult
+from ..engine import EmbeddingResult
 from ..graph.datasets import load_node_dataset
 from ..obs.spans import trace_span
 from .cache import cached_fit

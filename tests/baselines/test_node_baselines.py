@@ -93,6 +93,13 @@ class TestMVGRLGate:
         with pytest.raises(MemoryError):
             method.fit(graph, seed=0)
 
+    def test_refuses_before_drawing_a_weight(self, graph):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(MemoryError, match="refusing above 10 nodes"):
+            MVGRL(max_nodes=10).build(graph, rng)
+        assert rng.bit_generator.state == before
+
 
 class TestSupervised:
     def test_gcn_beats_majority_class(self, graph):

@@ -1,31 +1,31 @@
-"""Tests for the SSL method protocol and Stopwatch."""
+"""Tests for the SSL method protocol (``engine.Method``) and Stopwatch."""
 
 import time
 
 import numpy as np
 
-from repro.core import GCMAEConfig, GCMAEMethod, Stopwatch
-from repro.core.base import EmbeddingResult, GraphSSLMethod, NodeSSLMethod
 from repro.baselines import DGI, GraphCL
+from repro.core import GCMAEConfig, GCMAEMethod, Stopwatch
+from repro.core.base import EmbeddingResult
+from repro.engine import Method
 
 
 class TestProtocols:
     def test_gcmae_satisfies_node_protocol(self):
-        assert isinstance(GCMAEMethod(GCMAEConfig(epochs=1)), NodeSSLMethod)
+        assert isinstance(GCMAEMethod(GCMAEConfig(epochs=1)), Method)
 
     def test_gcmae_satisfies_graph_protocol(self):
-        assert isinstance(GCMAEMethod(GCMAEConfig(epochs=1)), GraphSSLMethod)
+        assert isinstance(GCMAEMethod(GCMAEConfig(epochs=1)), Method)
 
     def test_dgi_satisfies_node_protocol(self):
-        assert isinstance(DGI(epochs=1), NodeSSLMethod)
+        assert isinstance(DGI(epochs=1), Method)
 
     def test_graphcl_satisfies_graph_protocol(self):
-        assert isinstance(GraphCL(epochs=1), GraphSSLMethod)
+        assert isinstance(GraphCL(epochs=1), Method)
 
     def test_embedding_result_defaults(self):
         result = EmbeddingResult(np.zeros((3, 2)), 1.0)
         assert result.loss_history == []
-        assert result.extras == {}
 
 
 class TestStopwatch:

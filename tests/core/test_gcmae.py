@@ -135,7 +135,6 @@ class TestGCMAEMethod:
         result = GCMAEMethod(TINY).fit(graph, seed=0)
         assert result.embeddings.shape == (graph.num_nodes, TINY.embed_dim)
         assert result.train_seconds > 0
-        assert "part_history" in result.extras
 
     def test_fit_graphs_protocol(self):
         dataset = load_graph_dataset("mutag-like", seed=0)

@@ -8,6 +8,7 @@ import pytest
 from repro.engine import (
     CheckpointPolicy,
     EarlyStopping,
+    EmbeddingResult,
     Method,
     TrainLoop,
     TrainState,
@@ -16,6 +17,7 @@ from repro.engine import (
 )
 from repro.nn import Adam
 from repro.nn.module import Module, Parameter
+from repro.obs.hooks import LambdaHook
 
 
 class _Quadratic(Module):
@@ -99,6 +101,27 @@ def test_early_stopping_on_loss_plateau():
     ).run(_ToyMethod(), None, seed=0)
     assert not result.stopped_early
     assert result.epochs_run == 6
+
+
+def test_fit_runs_the_methods_own_loop_and_embeds_once():
+    method = _ToyMethod(metrics=[0.1, 0.5, 0.3, 0.2, 0.1])
+    method.epochs = 5
+    method.early_stopping = EarlyStopping(
+        patience=2, monitor="metric", mode="max", restore_best=True
+    )
+    result = method.fit(None, seed=0)
+    assert isinstance(result, EmbeddingResult)
+    assert len(result.loss_history) == 4  # stopped as an explicit loop does
+    assert np.array_equal(result.embeddings, method.weight_log[1])  # best weights
+
+
+def test_fit_graphs_is_fit_and_train_passes_hooks():
+    events = []
+    method = _ToyMethod(noisy=True)
+    method.epochs = 3
+    outcome = method.train(None, seed=5, hooks=(LambdaHook(events.append),))
+    assert [event.epoch for event in events] == [0, 1, 2]
+    assert method.fit_graphs(None, seed=5).loss_history == outcome.loss_history
 
 
 def test_early_stopping_validation():

@@ -7,8 +7,13 @@ onto :class:`repro.engine.TrainLoop` reproduce every loss history — and
 GCMAE's per-part histories — bit-for-bit, i.e. ``==`` on floats, not
 ``pytest.approx``.  Any RNG-consumption reordering in the engine breaks
 these immediately.
+
+Each entry also pins the sha256 of the embeddings ``fit``/``fit_graphs``
+return for the same run, so moving the code that trains *and* embeds
+cannot change a bit of what the tables probe either.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -17,7 +22,7 @@ import pytest
 from repro.baselines.contrastive import GRACE
 from repro.baselines.mae import GraphMAE
 from repro.core.config import GCMAEConfig
-from repro.core.trainer import train_gcmae, train_gcmae_graphs
+from repro.core.trainer import GCMAEMethod, train_gcmae
 from repro.graph.generators import (
     CitationGraphSpec,
     GraphFamilySpec,
@@ -30,6 +35,10 @@ GOLDEN = json.loads(
     (Path(__file__).parent / "golden_curves.json").read_text()
 )
 SEED = 3
+
+
+def _sha256(embeddings):
+    return hashlib.sha256(embeddings.tobytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +78,8 @@ def test_gcmae_node_curve_is_bit_identical(graph, gcmae_config):
     assert [p.contrastive for p in result.part_history] == golden["contrastive"]
     assert [p.structure for p in result.part_history] == golden["structure"]
     assert [p.discrimination for p in result.part_history] == golden["discrimination"]
+    embeddings = GCMAEMethod(gcmae_config).fit(graph, seed=SEED).embeddings
+    assert _sha256(embeddings) == golden["embeddings_sha256"]
 
 
 def test_gcmae_subgraph_curve_is_bit_identical(graph, gcmae_config):
@@ -77,21 +88,27 @@ def test_gcmae_subgraph_curve_is_bit_identical(graph, gcmae_config):
     )
     result = train_gcmae(graph, config, seed=SEED)
     assert result.loss_history == GOLDEN["gcmae_subgraph"]["loss"]
+    embeddings = GCMAEMethod(config).fit(graph, seed=SEED).embeddings
+    assert _sha256(embeddings) == GOLDEN["gcmae_subgraph"]["embeddings_sha256"]
 
 
 def test_gcmae_graphs_curve_is_bit_identical(dataset, gcmae_config):
     config = gcmae_config.with_overrides(
         conv_type="gin", heads=1, graph_batch_size=4, epochs=5
     )
-    result = train_gcmae_graphs(dataset, config, seed=SEED)
-    assert result.loss_history == GOLDEN["gcmae_graphs"]["loss"]
+    method = GCMAEMethod(config)
+    embeddings = method.fit_graphs(dataset, seed=SEED).embeddings
+    assert method.last_train_result.loss_history == GOLDEN["gcmae_graphs"]["loss"]
+    assert _sha256(embeddings) == GOLDEN["gcmae_graphs"]["embeddings_sha256"]
 
 
 def test_grace_curve_is_bit_identical(graph):
     result = GRACE(hidden_dim=16, projector_dim=8, epochs=8).fit(graph, seed=SEED)
     assert result.loss_history == GOLDEN["grace"]["loss"]
+    assert _sha256(result.embeddings) == GOLDEN["grace"]["embeddings_sha256"]
 
 
 def test_graphmae_curve_is_bit_identical(graph):
     result = GraphMAE(hidden_dim=16, heads=2, epochs=8).fit(graph, seed=SEED)
     assert result.loss_history == GOLDEN["graphmae"]["loss"]
+    assert _sha256(result.embeddings) == GOLDEN["graphmae"]["embeddings_sha256"]

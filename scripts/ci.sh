@@ -33,11 +33,13 @@ PYTHONPATH=src python -m pytest -x -q
 echo "== goldens under one BLAS thread =="
 # Bit-identity holds per OpenBLAS thread count: a trained model's embedding
 # hash differs between one thread and two.  The golden curves, hashes and
-# tables must hold at one thread as well as at the default.
+# tables, and node reads over the receptive field against the full forward,
+# must hold at one thread as well as at the default.
 OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest -q \
     tests/engine/test_golden_equivalence.py \
     tests/experiments/test_runners.py \
-    tests/spec/test_equivalence.py
+    tests/spec/test_equivalence.py \
+    tests/gnn/test_receptive_field.py
 
 echo "== benchmark self-test (perfbench: every workload at its smallest size) =="
 # Tier-1 collects only tests/; this stage fails a change that renames or

@@ -226,6 +226,12 @@ class JOAO(GraphCL):
         self.joint_gamma = joint_gamma
         self._pair_losses: Dict[Tuple[str, str], float] = {}
 
+    def build(self, dataset: GraphDataset, rng: np.random.Generator) -> TrainState:
+        # Every run starts with no pair history; a resume restores it after
+        # build, through load_extra_state.
+        self._pair_losses = {}
+        return super().build(dataset, rng)
+
     def _choose_pair(self, rng: np.random.Generator, epoch: int) -> Tuple[str, str]:
         if not self._pair_losses or rng.random() < 0.3:  # keep exploring
             return tuple(rng.choice(AUGMENTATIONS, size=2, replace=True))
@@ -344,6 +350,9 @@ class InfoGCL(_GraphContrastiveBase):
         return min(self._view_losses, key=self._view_losses.get)
 
     def build(self, dataset: GraphDataset, rng: np.random.Generator) -> TrainState:
+        # Every run starts with no view history; a resume restores it after
+        # build, through load_extra_state.
+        self._view_losses = {}
         loader = self._loader(dataset)
         encoder, projector = self._build(dataset.graphs[0].num_features, rng)
         optimizer = Adam(

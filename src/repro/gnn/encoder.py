@@ -13,6 +13,13 @@ from typing import List, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from ..graph.data import as_node_ids
+from ..graph.sparse import (
+    cached_transpose,
+    csr_row_slots,
+    is_marked_symmetric,
+    memoized_on_matrix,
+)
 from ..nn.layers import Dropout, PReLU, resolve_activation
 from ..nn.module import Module, ModuleList
 from ..nn.tensor import Tensor, no_grad
@@ -54,6 +61,27 @@ def _gat_conv(in_features, out_features, rng, heads=1, final=False):
 @register_encoder("gin", order=40)
 def _gin_conv(in_features, out_features, rng, heads=1, final=False):
     return GINConv(in_features, out_features, rng=rng)
+
+
+def _destination_descent(adjacency: sp.csr_matrix) -> np.ndarray:
+    """Nodes whose edges leave GAT's destination ids unsorted, or none.
+
+    GAT lists its self-looped edges row by row, each row's destinations
+    ascending, so the list is unsorted exactly where some row ``r`` ends
+    above where row ``r + 1`` starts.  The first such ``r``, ``r + 1`` and
+    those two destinations keep that descent in any block holding them.
+    """
+    indptr, indices = adjacency.indptr, adjacency.indices
+    ids = np.arange(adjacency.shape[0])
+    nonempty = np.diff(indptr) > 0
+    first, last = ids.copy(), ids.copy()
+    first[nonempty] = np.minimum(indices[indptr[:-1][nonempty]], ids[nonempty])
+    last[nonempty] = np.maximum(indices[indptr[1:][nonempty] - 1], ids[nonempty])
+    descents = np.flatnonzero(last[:-1] > first[1:])
+    if descents.size == 0:
+        return descents
+    row = descents[0]
+    return np.unique([row, row + 1, last[row], first[row + 1]])
 
 
 # Derived from the encoder registry (Figure 6 sweeps these four backbones).
@@ -164,7 +192,7 @@ class GNNEncoder(Module):
                     x = self.dropout(x)
         return x
 
-    def infer(self, adjacency: sp.csr_matrix, features) -> np.ndarray:
+    def infer(self, adjacency: sp.csr_matrix, features, nodes=None) -> np.ndarray:
         """No-grad inference forward: frozen embeddings as a plain array.
 
         Switches the stack to eval mode (disabling dropout), runs the
@@ -173,16 +201,73 @@ class GNNEncoder(Module):
         caching is skipped — and restores the previous mode.  The numpy
         values are bit-identical to the grad path's forward outputs in
         eval mode; :mod:`repro.serve` serves embeddings through this.
+
+        With ``nodes`` (integer ids, repeats allowed) only those rows are
+        returned, in request order, and the same forward runs over their
+        receptive field alone: the ids' ``num_layers``-hop
+        in-neighbourhood, on the block it induces in the full graph's
+        structure operand.  The block keeps the full graph's
+        normalisation, and a row's value at hop distance ``d`` needs only
+        the rows within ``num_layers - d`` hops, so the rows equal
+        ``infer(adjacency, features)[nodes]`` bit for bit.  A field that
+        covers every node runs the full operand.
         """
         was_training = self.training
         self.eval()
         try:
             with no_grad():
-                out = self.forward(adjacency, ensure_features(features))
+                operand = self.structure(adjacency)
+                x = ensure_features(features)
+                rows = None
+                if nodes is not None:
+                    rows = as_node_ids(nodes, operand.shape[0])
+                    field = self._receptive_field(operand, rows)
+                    if field.size < operand.shape[0]:
+                        operand = operand[field][:, field]
+                        x = Tensor(x.data[field])
+                        rows = np.searchsorted(field, rows)
+                out = self.forward_with_operand(operand, x).data
         finally:
             if was_training:
                 self.train()
-        return out.data
+        return out if rows is None else out[rows]
+
+    def _receptive_field(self, operand: sp.csr_matrix, nodes: np.ndarray) -> np.ndarray:
+        """Sorted ids whose inputs can reach ``nodes`` through the stack.
+
+        Each layer's row reads the rows its operand row names (for GAT,
+        whose messages flow along the operand's columns, the rows its
+        transpose names), so ``num_layers`` hops over those rows bound
+        what the output rows of ``nodes`` depend on.  Sorted ids keep each
+        sliced row's entries, and so each row's sum, in the full operand's
+        order.  The field holds at least 2 nodes where the graph has them:
+        numpy sends a 1-row product down its matrix-vector path, whose sums
+        need not match the matrix-matrix kernel the full forward runs.
+        """
+        incoming = cached_transpose(operand) if self.conv_type == "gat" else operand
+        field = frontier = np.unique(nodes)
+        for _ in range(len(self.layers)):
+            _, slots = csr_row_slots(incoming.indptr, frontier)
+            frontier = np.setdiff1d(incoming.indices[slots], field)
+            if frontier.size == 0:
+                break
+            field = np.union1d(field, frontier)
+        if self.conv_type == "gat" and not is_marked_symmetric(operand):
+            # GAT's segment sums add a segment's edges by np.add.reduceat
+            # when the destination ids are sorted and by an incidence
+            # product otherwise, and the two can round differently.  Nodes
+            # that leave the full graph's destinations unsorted leave the
+            # block's unsorted too, so both take the same path.  A
+            # symmetric block needs none: it is sorted only when no edge
+            # joins two of its nodes, and a one-edge segment sums exactly.
+            descent = memoized_on_matrix(
+                operand, "gat-descent", lambda: _destination_descent(operand)
+            )
+            field = np.union1d(field, descent)
+        if field.size < 2:
+            pad = np.setdiff1d(np.arange(min(3, operand.shape[0])), field)
+            field = np.union1d(field, pad[: 2 - field.size])
+        return field
 
     def infer_batch(self, batch) -> np.ndarray:
         """No-grad inference over a :class:`~repro.graph.batch.GraphBatch`.

@@ -12,6 +12,22 @@ from ..nn.dtype import as_float_array
 from . import sparse as sparse_utils
 
 
+def as_node_ids(ids, num_nodes: int) -> np.ndarray:
+    """``ids`` as int64 ids of the nodes of a ``num_nodes``-node graph.
+
+    Raises ``TypeError`` for a non-empty input that is not integer (a cast
+    would truncate floats and read a boolean mask as ids 0 and 1) and
+    ``IndexError`` for an id outside ``[0, num_nodes)``.
+    """
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise TypeError(f"node ids must be integers, got dtype {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
+    if ids.size and (ids.min() < 0 or ids.max() >= num_nodes):
+        raise IndexError(f"node ids out of range [0, {num_nodes})")
+    return ids
+
+
 @dataclass
 class Graph:
     """A single attributed graph (the node-task datasets of Table 2).

@@ -32,7 +32,7 @@ import scipy.sparse as sp
 from ..nn.profiler import active_session
 from ..obs.hooks import emit_counter
 from .data import Graph
-from .sparse import mark_symmetric
+from .sparse import csr_row_slots, mark_symmetric
 
 _NEG_SAMPLING_ROUNDS = 16
 
@@ -169,18 +169,10 @@ class NeighborSampler:
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.size == 0:
             return nodes
-        starts = self._indptr[nodes]
-        degrees = self._indptr[nodes + 1] - starts
-        nonzero = degrees > 0
-        if not nonzero.all():
-            nodes, starts, degrees = nodes[nonzero], starts[nonzero], degrees[nonzero]
-        if nodes.size == 0:
+        row_ids, slots = csr_row_slots(self._indptr, nodes)
+        if slots.size == 0:
             return np.array([], dtype=np.int64)
-        total = int(degrees.sum())
-        offsets = np.concatenate(([0], np.cumsum(degrees)))
-        row_ids = np.repeat(np.arange(nodes.size), degrees)
-        # CSR slot of every (row, neighbour) pair in one ragged gather.
-        slots = starts[row_ids] + (np.arange(total) - offsets[row_ids])
+        degrees = self._indptr[nodes + 1] - self._indptr[nodes]
 
         small_rows = degrees <= fanout
         small_mask = small_rows[row_ids]
@@ -207,12 +199,7 @@ class NeighborSampler:
         k = nodes.size
         local_of = self._local_of
         local_of[nodes] = np.arange(k)
-        starts = self._indptr[nodes]
-        degrees = self._indptr[nodes + 1] - starts
-        total = int(degrees.sum())
-        offsets = np.concatenate(([0], np.cumsum(degrees)))
-        row_ids = np.repeat(np.arange(k), degrees)
-        slots = starts[row_ids] + (np.arange(total) - offsets[row_ids])
+        row_ids, slots = csr_row_slots(self._indptr, nodes)
         local_cols = local_of[self._indices[slots]]
         keep = local_cols >= 0
         adjacency = sp.csr_matrix(

@@ -238,6 +238,23 @@ class Incidence:
         return (self.matrix @ flat).reshape((self.matrix.shape[0],) + values.shape[1:])
 
 
+def csr_row_slots(indptr: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Where the stored entries of ``rows`` sit in a CSR matrix, row by row.
+
+    Returns ``(row_ids, slots)``: ``slots`` lists the ``indices``/``data``
+    positions of every entry of ``rows[0]``, then of ``rows[1]``, and so
+    on, each row in stored order, and ``row_ids[k]`` is the position in
+    ``rows`` of the row that owns ``slots[k]``.  One ragged gather, with
+    no Python loop over the rows.
+    """
+    starts = indptr[rows]
+    degrees = indptr[rows + 1] - starts
+    offsets = np.concatenate(([0], np.cumsum(degrees)))
+    row_ids = np.repeat(np.arange(rows.size), degrees)
+    slots = starts[row_ids] + (np.arange(int(offsets[-1])) - offsets[row_ids])
+    return row_ids, slots
+
+
 def cached_incidence(ids: np.ndarray, num_rows: int, dtype) -> Incidence:
     """The ``num_rows x ids.size`` 0/1 incidence of an integer array.
 

@@ -154,6 +154,12 @@ def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
     softmax) multiply by their 0/1 incidence matrix, which adds each
     segment's rows in index order, bit for bit as ``np.add.at`` would.
     Backward is a gather either way.
+
+    The two paths can round the same segment differently: ``reduceat``
+    need not add a segment's rows one after another (a 5-row segment of
+    1-D values and a 3-row segment of 3-D values came out different in
+    the last bits), so the bits of a segment's sum depend on whether the
+    whole id array is sorted.
     """
     values = ensure_tensor(values)
     segment_ids, counts, is_sorted = _segment_ids_and_counts(segment_ids, num_segments)
@@ -179,7 +185,8 @@ def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> 
     A single fused autograd node: the division by segment size is folded
     into both the forward buffer and the backward gather, instead of the
     separate sum and scale nodes the composite formulation builds.  Empty
-    segments yield zero rows.  The sum runs as in :func:`segment_sum`.
+    segments yield zero rows.  The sum runs as in :func:`segment_sum`, so
+    its bits too depend on whether the whole id array is sorted.
     """
     values = ensure_tensor(values)
     segment_ids, counts, is_sorted = _segment_ids_and_counts(segment_ids, num_segments)

@@ -5,9 +5,11 @@ attached graph (plus ad-hoc ``embed_graph`` requests), combining the three
 serving primitives:
 
 * node requests (:meth:`EmbeddingService.embed_nodes`) hit the LRU row
-  cache first; missing rows are produced by a single no-grad full-graph
-  forward and only the requested rows enter the cache — a miss costs one
-  forward, so size the cache to the hot set.
+  cache first; missing rows are produced by one no-grad forward over the
+  missing ids' receptive field (their ``num_layers``-hop block of the
+  graph, see :meth:`~repro.gnn.encoder.GNNEncoder.infer`) and enter the
+  cache — a miss costs one forward over that block, so size the cache to
+  the hot set.
 * graph requests (:meth:`EmbeddingService.embed_graph`) go through the
   :class:`~repro.serve.queue.MicroBatchQueue`, so concurrent callers share
   one block-diagonal forward.
@@ -27,7 +29,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..graph.data import Graph
+from ..graph.data import Graph, as_node_ids
 from ..nn.dtype import default_dtype
 from ..obs.hooks import emit_counter
 from ..obs.spans import trace_span
@@ -81,24 +83,18 @@ class EmbeddingService:
         emit_counter("serve.graph.update")
 
     def embed_nodes(self, node_ids: Sequence[int]) -> np.ndarray:
-        """Embedding rows for ``node_ids`` over the attached graph.
+        """Embedding rows for ``node_ids`` (integers) over the attached graph.
 
-        Cached rows are served without touching the encoder; any miss
-        triggers one no-grad full-graph forward whose requested rows are
+        Cached rows are served without touching the encoder; any misses
+        trigger one no-grad forward over the missing ids' receptive field,
+        whose rows are bit-identical to a full-graph forward's and are
         then cached.  Request order is preserved in the output.
         """
         if self.graph is None:
             raise RuntimeError("no graph attached; call update_graph() first")
-        node_ids = np.asarray(node_ids, dtype=np.int64)
+        node_ids = as_node_ids(node_ids, self.graph.num_nodes)
         if node_ids.ndim != 1:
             raise ValueError(f"node_ids must be 1-D, got shape {node_ids.shape}")
-        if node_ids.size and (
-            node_ids.min() < 0 or node_ids.max() >= self.graph.num_nodes
-        ):
-            raise IndexError(
-                f"node ids out of range [0, {self.graph.num_nodes}) for "
-                f"graph {self.graph.name!r}"
-            )
         entry = self._entry()
         emit_counter("serve.requests.nodes")
         with trace_span("serve/embed_nodes"):
@@ -112,10 +108,11 @@ class EmbeddingService:
                 else:
                     rows[node] = cached
             if missing:
-                matrix = entry.encoder.infer(self.graph.adjacency, self.graph.features)
+                matrix = entry.encoder.infer(
+                    self.graph.adjacency, self.graph.features, nodes=missing
+                )
                 self._node_forwards += 1
-                for node in missing:
-                    row = matrix[node].copy()
+                for node, row in zip(missing, matrix):
                     self.cache.put(key_base + (node,), row)
                     rows[node] = row
             if not node_ids.size:

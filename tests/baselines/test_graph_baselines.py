@@ -58,6 +58,27 @@ class TestGraphSSLContract:
         method.fit_graphs(dataset, seed=0)
         assert set(method._view_losses) == set(AUGMENTATIONS)
 
+    def test_joao_second_run_equals_a_fresh_run(self):
+        # The pair history of one run must not steer the next one.
+        full = load_graph_dataset("mutag-like", seed=0)
+        data = GraphDataset(full.graphs[:24], full.labels[:24], name="tiny-mutag")
+        method = JOAO(epochs=12, hidden_dim=16, batch_size=8)
+        first = method.fit_graphs(data, seed=0).embeddings
+        second = method.fit_graphs(data, seed=0).embeddings
+        fresh = JOAO(epochs=12, hidden_dim=16, batch_size=8).fit_graphs(data, seed=0)
+        assert np.array_equal(first, fresh.embeddings)
+        assert np.array_equal(second, fresh.embeddings)
+
+    def test_infogcl_second_run_losses_equal_a_fresh_run(self):
+        full = load_graph_dataset("mutag-like", seed=0)
+        data = GraphDataset(full.graphs[:24], full.labels[:24], name="tiny-mutag")
+        method = InfoGCL(epochs=12, hidden_dim=16, batch_size=8)
+        method.fit_graphs(data, seed=0)
+        method.fit_graphs(data, seed=0)
+        fresh = InfoGCL(epochs=12, hidden_dim=16, batch_size=8)
+        fresh.fit_graphs(data, seed=0)
+        assert method._view_losses == fresh._view_losses
+
     @pytest.mark.parametrize(
         "method",
         [

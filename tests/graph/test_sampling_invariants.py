@@ -7,10 +7,13 @@ brute-force induced subgraph, cross-job determinism of the per-epoch RNG,
 and the empty-frontier / isolated-node edge cases.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.graph.data import Graph
+from repro.graph.datasets import load_node_dataset
 from repro.graph.generators import CitationGraphSpec, make_citation_graph
 from repro.graph.sampling import (
     LinkNeighborLoader,
@@ -97,6 +100,21 @@ class TestDeterminism:
                 np.testing.assert_allclose(
                     left.adjacency.toarray(), right.adjacency.toarray()
                 )
+
+    def test_reddit_like_epoch_is_pinned(self):
+        # sha256 over one epoch's blocks (nodes, then the adjacency's
+        # indptr/indices/data): refactors of the sampling core must leave
+        # every block's bytes as they are.
+        graph = load_node_dataset("reddit-like", seed=0)
+        loader = NeighborLoader(graph, fanouts=(2, 2), batch_size=64, seed=0)
+        digest = hashlib.sha256()
+        for block in loader.epoch(0):
+            adjacency = block.adjacency
+            for array in (block.nodes, adjacency.indptr, adjacency.indices, adjacency.data):
+                digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == (
+            "e1aff0acbea190bd1ecc8dd6f442b237e8848baacd2bb0cb27d6dcc60d19f988"
+        )
 
     def test_different_epochs_differ(self):
         loader = NeighborLoader(GRAPH, fanouts=[3], batch_size=64, seed=7)

@@ -99,6 +99,25 @@ class TestKHop:
             su.k_hop_neighbors(ring(), 0, 0)
 
 
+class TestRowSlots:
+    def test_matches_a_loop_over_the_rows(self):
+        matrix = sp.random(12, 9, density=0.3, format="csr", random_state=0)
+        rows = np.array([5, 0, 5, 11, 3])
+        row_ids, slots = su.csr_row_slots(matrix.indptr, rows)
+        expected = [
+            (position, slot)
+            for position, row in enumerate(rows)
+            for slot in range(matrix.indptr[row], matrix.indptr[row + 1])
+        ]
+        assert list(zip(row_ids.tolist(), slots.tolist())) == expected
+
+    def test_empty_rows_and_row_sets(self):
+        matrix = sp.csr_matrix((4, 4))
+        for rows in (np.array([0, 3]), np.array([], dtype=np.int64)):
+            row_ids, slots = su.csr_row_slots(matrix.indptr, rows)
+            assert row_ids.size == 0 and slots.size == 0
+
+
 class TestDiffusion:
     def test_rows_approximately_stochastic(self):
         diffusion = su.ppr_diffusion(ring(6), alpha=0.2)

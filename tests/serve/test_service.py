@@ -48,6 +48,14 @@ class TestEmbedNodes:
     def test_empty_request(self, service):
         assert service.embed_nodes([]).shape == (0, 4)
 
+    def test_non_integer_ids_raise(self, service):
+        # Floats used to be truncated and a boolean mask read as ids 0/1.
+        with pytest.raises(TypeError):
+            service.embed_nodes([1.7, 2.2])
+        with pytest.raises(TypeError):
+            service.embed_nodes(np.array([True, False, True]))
+        assert service._node_forwards == 0
+
     def test_out_of_range_ids_raise(self, service):
         with pytest.raises(IndexError):
             service.embed_nodes([999])
